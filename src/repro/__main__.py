@@ -21,8 +21,8 @@ Commands:
   artifacts
 
 Every simulation command accepts the same common flags — ``--backend
-SPEC`` (execution backend: ``local-process``, ``local-shm``,
-``ssh:hosta,hostb``; see docs/fabric.md), ``--jobs N`` (worker fan-out
+SPEC`` (execution backend: ``local-process`` or ``ssh:hosta,hostb``;
+see docs/fabric.md), ``--jobs N`` (worker fan-out
 where the command has independent cells), ``--no-cache`` (skip the
 on-disk result/checkpoint cache), ``--progress SECONDS`` (heartbeat on
 stderr), and ``--json PATH`` (machine-readable artifact alongside the
@@ -53,8 +53,8 @@ def _common_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("common options")
     group.add_argument("--backend", default="local-process", metavar="SPEC",
                        help="execution backend for independent cells: "
-                            "local-process (default), local-shm, or "
-                            "ssh:host1,host2 (see docs/fabric.md)")
+                            "local-process (default) or ssh:host1,host2 "
+                            "(see docs/fabric.md)")
     group.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="concurrent workers for independent cells "
                             "(default: serial; bench defaults to all cores)")
@@ -480,7 +480,6 @@ def cmd_serve(args) -> int:
         backend=args.backend,
         max_depth=args.max_depth, max_tenant_depth=args.max_tenant_depth,
         default_timeout=args.timeout, weights=weights,
-        journal_fsync=not args.no_fsync,
         gc_policy=GCPolicy(max_bytes=args.gc_bytes or None,
                            max_age_seconds=args.gc_age or None))
     service = SimulationService(config)
@@ -764,9 +763,6 @@ def main(argv=None) -> int:
                               help="result/cache store size bound (0: off)")
     serve_parser.add_argument("--gc-age", type=float, default=7 * 86400,
                               help="result/cache entry age bound (0: off)")
-    serve_parser.add_argument("--no-fsync", action="store_true",
-                              help="skip fsync on journal appends (faster, "
-                                   "loses crash-safety)")
 
     client_common = argparse.ArgumentParser(add_help=False)
     client_common.add_argument("--host", default="127.0.0.1")

@@ -29,7 +29,6 @@ from typing import Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.params import ProcessorParams
-from repro.fabric.base import UNSET, merge_legacy_kwargs
 from repro.harness.runner import RunResult, resolve_workload
 from repro.isa.executor import execute
 from repro.pipeline.processor import Processor
@@ -54,8 +53,6 @@ def run(params: ProcessorParams, workload, *,
         metrics=None,
         sampling=None,
         execution=None,
-        jobs=UNSET,
-        cache=UNSET,
         progress=None,
         progress_interval: float = 5.0) -> RunResult:
     """Simulate ``workload`` under ``params`` and return a RunResult.
@@ -83,27 +80,21 @@ def run(params: ProcessorParams, workload, *,
         A :class:`~repro.sampling.SamplingConfig` switches to sampled
         simulation (mutually exclusive with ``trace``/``metrics``).
     execution:
-        An optional :class:`~repro.fabric.ExecutionConfig` carrying the
-        worker count (for the sampling path's window fan-out) and the
-        result cache — the same object :meth:`Sweep.run` and
-        :meth:`Experiment.run` accept.
-    jobs / cache:
-        Deprecated spelling of ``execution=`` (one release of grace).
+        An optional :class:`~repro.fabric.ExecutionConfig` — the same
+        object :meth:`Sweep.run` and :meth:`Experiment.run` accept.
         ``jobs`` is the sampling fan-out worker count (a plain run is a
         single cell and ignores it); ``cache`` is a
         :class:`~repro.harness.cache.ResultCache` consulted for plain
         runs (no trace, no metrics) and populated on miss.  On the
-        sampling path, a ``CheckpointStore`` is forwarded to the
+        sampling path, a ``CheckpointStore`` cache is forwarded to the
         sampler; other cache objects are ignored there.
     progress / progress_interval:
         Heartbeat callback receiving
         :class:`~repro.pipeline.processor.ProgressTick` records roughly
         every ``progress_interval`` wall-clock seconds.
     """
-    execution = merge_legacy_kwargs(execution, where="repro.api.run",
-                                    jobs=jobs, cache=cache)
-    jobs = execution.jobs
-    cache = execution.cache
+    jobs = execution.jobs if execution is not None else None
+    cache = execution.cache if execution is not None else None
     if sampling is not None:
         if trace is not None or metrics is not None:
             raise ConfigurationError(

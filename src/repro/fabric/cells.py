@@ -1,14 +1,11 @@
 """Cell primitives shared by every execution backend.
 
 A *cell* is one independent simulation: a :class:`RunSpec` carries
-everything a worker — local process, fork-server child, or a worker on
-another machine — needs to reproduce it bit-identically.  This module
-also owns the worker entry points (module-level, picklable, so they
-survive the ``spawn`` start method) and the JSON wire form the ``ssh``
-backend ships cells in.
-
-Moved here from ``repro.harness.parallel`` when the execution layer
-became the pluggable fabric; the old module re-exports these names.
+everything a worker — a local process or a worker on another machine —
+needs to reproduce it bit-identically.  This module also owns the
+worker entry points (module-level, picklable, so they survive the
+``spawn`` start method) and the JSON wire form the ``ssh`` backend
+ships cells in.
 """
 
 from __future__ import annotations

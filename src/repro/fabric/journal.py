@@ -18,18 +18,18 @@ them (the result comes from the cache; if the entry was evicted the
 cell simply runs again).  ``failed`` and ``running`` cells re-run —
 ``running`` means the previous process died mid-cell.
 
-Same discipline as the service's job journal (PR 8): every append is
-fsync'd before the state is acted on, replay tolerates a torn final
-line (a crash mid-append), and compaction rewrites atomically via
-``os.replace``.
+The journal is a fold over an :class:`~repro.common.appendlog.AppendLog`
+(shared with the service's job journal): every record is fsync'd
+before the state is acted on, replay skips a torn final line (a crash
+mid-append), and compaction rewrites the file atomically.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Dict, Optional
+
+from repro.common.appendlog import AppendLog
 
 #: Terminal-success states: the cell's result is in the cache.
 DONE_STATES = ("done", "cached")
@@ -41,59 +41,37 @@ class SweepJournal:
     """Append-only per-cell state journal for resumable sweeps."""
 
     def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
+        self.log = AppendLog(path)
+        self.path = self.log.path
         #: Latest state per key, as replayed at open + appended since.
         self.states: Dict[str, str] = {}
         #: Label per key (from the first "pending" record), for reports.
         self.labels: Dict[str, str] = {}
-        #: A crash mid-append leaves a torn line with no newline; the
-        #: next append must start a fresh line or it glues onto it.
-        self._heal_tail = False
-        if self.path.exists():
-            self._replay()
-
-    # ------------------------------------------------------------ replay --
-    def _replay(self) -> None:
-        try:
-            raw = self.path.read_text()
-        except OSError:
-            return
-        self._heal_tail = bool(raw) and not raw.endswith("\n")
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                key, state = record["key"], record["state"]
-            except (ValueError, KeyError, TypeError):
-                continue                 # torn tail or foreign line
-            if state not in _STATES:
-                continue
+        for record in self.log.records():
+            key, state = record.get("key"), record.get("state")
+            if not isinstance(key, str) or state not in _STATES:
+                continue                 # foreign line
             self.states[key] = state
             label = record.get("label")
             if label:
                 self.labels.setdefault(key, label)
 
-    # ------------------------------------------------------------ append --
     def record(self, key: str, state: str,
                label: Optional[str] = None) -> None:
         """Append one state change (fsync'd before returning)."""
         if state not in _STATES:
             raise ValueError(f"unknown journal state {state!r}")
-        entry: Dict[str, str] = {"key": key, "state": state}
+        self.log.append(self._entry(key, state, label))
         if label:
-            entry["label"] = label
             self.labels.setdefault(key, label)
         self.states[key] = state
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            if self._heal_tail:
-                handle.write("\n")
-                self._heal_tail = False
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+
+    @staticmethod
+    def _entry(key: str, state: str, label: Optional[str]) -> dict:
+        entry = {"key": key, "state": state}
+        if label:
+            entry["label"] = label
+        return entry
 
     # ----------------------------------------------------------- queries --
     def done(self, key: str) -> bool:
@@ -109,17 +87,8 @@ class SweepJournal:
     # ----------------------------------------------------------- compact --
     def compact(self) -> None:
         """Rewrite as one line per key (latest state), atomically."""
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w") as handle:
-            for key, state in self.states.items():
-                entry = {"key": key, "state": state}
-                label = self.labels.get(key)
-                if label:
-                    entry["label"] = label
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        self.log.rewrite(self._entry(key, state, self.labels.get(key))
+                         for key, state in self.states.items())
 
     def __repr__(self) -> str:
         return f"SweepJournal({self.path}, {self.counts()})"

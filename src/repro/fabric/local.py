@@ -1,12 +1,11 @@
 """The ``local-process`` backend: the spawn-safe pool behind the protocol.
 
-This is the refactored form of the original ``ParallelExecutor``
-machinery — a :class:`concurrent.futures.ProcessPoolExecutor` for cell
-batches, dedicated worker processes for cancellable tasks — with the
-same degradation ladder: ``jobs=1`` runs in-process, a payload that
-fails to pickle or a pool that cannot start falls back to serial, a
-worker that raises (or dies) surfaces as a per-cell
-:class:`~repro.fabric.cells.CellError`, never a hung sweep.  Results
+A :class:`concurrent.futures.ProcessPoolExecutor` for cell batches and
+dedicated worker processes for cancellable tasks, with one degradation
+ladder: ``jobs=1`` runs in-process, a payload that fails to pickle or a
+pool that cannot start falls back to serial, a worker that raises (or
+dies) surfaces as a per-cell :class:`~repro.fabric.cells.CellError`,
+never a hung sweep.  Results
 are bit-identical to serial execution by construction (workers share no
 state; every cell rebuilds its program from the workload registry).
 """
@@ -54,8 +53,8 @@ def run_task_batch(func: Callable, items: Sequence,
                    ) -> Tuple[List, bool]:
     """Apply ``func`` to every item over a one-shot pool, in input order.
 
-    The batch-map primitive behind ``Executor.map`` (and the deprecated
-    ``ParallelExecutor.map``): a fresh pool per call, serial fallback on
+    The batch-map primitive behind ``Executor.map``: a fresh pool per
+    call, serial fallback on
     unpicklable payloads or a pool that cannot start, per-cell errors.
     Returns ``(results, fell_back_to_serial)``.
     """

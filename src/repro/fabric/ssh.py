@@ -234,6 +234,14 @@ class _Channel:
         except OSError:
             pass
         self.process.wait(timeout=5.0)
+        # The reader sees EOF once the worker is gone; close the pipes
+        # only after it drained, never under its feet.
+        self._reader.join(timeout=5.0)
+        for pipe in (self.process.stdin, self.process.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
         self._mark_dead()
 
     def shutdown(self) -> None:
@@ -368,6 +376,9 @@ class SSHBackend(ExecutionBackend):
 
     # --------------------------------------------------------- internals --
     def _reap_dead(self) -> None:
+        for channel in self._channels:
+            if channel.dead:
+                channel.kill()           # reap the process, close pipes
         self._channels = [channel for channel in self._channels
                           if not channel.dead]
 

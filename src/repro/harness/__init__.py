@@ -5,7 +5,6 @@ from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.harness.energy import (EnergyModel, energy_per_instruction,
                                   format_breakdown)
-from repro.harness.parallel import ParallelExecutor  # deprecated shim
 from repro.harness.experiments import EXPERIMENTS, Experiment
 from repro.harness.trace import (render_pipeline_trace, segment_heatmap,
                                  stage_latency_summary)
@@ -17,7 +16,7 @@ from repro.harness.sweep import Sweep, SweepGrid
 
 __all__ = [
     "CellError", "EXPERIMENTS", "EnergyModel", "Experiment",
-    "ParallelExecutor", "ResultCache", "RunResult", "RunSpec",
+    "ResultCache", "RunResult", "RunSpec",
     "ascii_series_plot", "configs", "energy_per_instruction",
     "figure2_report", "format_breakdown", "render_pipeline_trace",
     "segment_heatmap", "stage_latency_summary",

@@ -45,6 +45,9 @@ from repro.harness.cache import ResultCache
 from repro.harness.energy import EnergyModel, energy_per_instruction
 from repro.harness.sweep import Sweep
 
+#: Schema 9 drops the ``fabric`` section along with the backend it
+#: compared (see docs/performance.md); ``--compare`` diffs only the
+#: serial rows, so schema-7/8 artifacts still compare.
 #: Schema 8 adds the ``profile`` section: a per-stage inclusive-time
 #: breakdown (dispatch / fetch / issue / commit / IQ-engine) of one
 #: profiled serial cell, so the Amdahl split the pipeline-kernel work
@@ -66,7 +69,7 @@ from repro.harness.sweep import Sweep
 #: unambiguous, and embeds the analytical-surrogate validation section
 #: (predicted vs simulated IPC; docs/models.md).  Schema 4 added
 #: per-row ``skip_ratio``/``skip_windows`` (docs/performance.md).
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Serial-throughput configurations: the paper's headline design points.
 SERIAL_CONFIGS: List[Tuple[str, object]] = [
@@ -244,132 +247,6 @@ def measure_sweep(workloads, sweep_configs, max_instructions: int,
             cached_seconds / serial_seconds, 4) if serial_seconds else 0.0,
         "cache_hits": cache_hits,
     }
-
-
-#: Grid for the fabric-overhead comparison: 4 workloads x 4 configs =
-#: 16 cells, run with a tiny instruction budget so per-cell dispatch
-#: overhead (pool/pickle vs fork-server/shared-memory) is a visible
-#: fraction of the cell time.
-FABRIC_CELL_BUDGET = 200
-
-#: Timed passes over the fabric grid (after one untimed warm pass).
-FABRIC_REPEATS = 3
-
-
-def measure_fabric(jobs: int, progress=None) -> Dict[str, object]:
-    """Per-cell dispatch/transport overhead of each local backend.
-
-    The same 16-cell grid, submitted one cell at a time to *warmed*
-    workers — a full untimed pass first, then :data:`FABRIC_REPEATS`
-    timed passes, per-cell medians across passes.  Serial submission
-    pins the compute identical on every backend and removes scheduler
-    jitter; warm workers exclude one-time pool startup; the per-cell
-    median discards transient outliers.  What remains per cell is
-    the backend's dispatch and result transport (``local-process``
-    pickles the whole ``RunResult`` back, ``local-shm`` ships a
-    shared-memory stat snapshot) — the overhead ``local-shm`` exists
-    to lower.  A backend unavailable on the host (``local-shm`` needs
-    fork) is recorded as skipped rather than failing the bench.
-
-    A second, *pipelined* pass submits the same grid through a sliding
-    window of ``backend.capacity()`` in-flight cells (the executor's
-    discipline).  ``local-shm`` advertises two cells per worker and
-    parks finished snapshots in its double-buffered shared memory, so
-    the pipelined delta vs ``local-process`` is the dispatch overhead
-    the worker-side pipelining hides.
-    """
-    import statistics
-
-    from repro.common.errors import ConfigurationError
-    from repro.fabric import RunSpec, create_backend, raise_on_errors
-    fabric_configs = SWEEP_CONFIGS[:4]
-    specs = [RunSpec(workload, factory(), config_label=label,
-                     max_instructions=FABRIC_CELL_BUDGET)
-             for workload in SWEEP_WORKLOADS
-             for label, factory in fabric_configs]
-    out: Dict[str, object] = {
-        "workloads": list(SWEEP_WORKLOADS),
-        "configs": [label for label, _ in fabric_configs],
-        "cells": len(specs),
-        "max_instructions": FABRIC_CELL_BUDGET,
-        "repeats": FABRIC_REPEATS,
-        "backends": {},
-    }
-    baseline = None
-    for backend in ("local-process", "local-shm"):
-        if progress is not None:
-            progress(f"fabric: {len(specs)} cells on {backend} "
-                     f"(x{FABRIC_REPEATS} after warm-up)")
-        try:
-            # jobs=2 keeps local-process on its real pool (jobs=1 is
-            # the in-process shortcut); submission stays serial.
-            back = create_backend(backend, jobs=2)
-        except ConfigurationError as exc:
-            out["backends"][backend] = {"skipped": str(exc)}
-            continue
-        try:
-            cell_seconds = [[] for _ in specs]
-            for rep in range(FABRIC_REPEATS + 1):
-                results = []
-                for index, spec in enumerate(specs):
-                    start = time.perf_counter()
-                    handle = back.submit(spec)
-                    results.append(handle.result(timeout=300))
-                    handle.close()
-                    if rep:              # pass 0 warms the workers
-                        cell_seconds[index].append(
-                            time.perf_counter() - start)
-                raise_on_errors(results, f"fabric bench ({backend})")
-            pipelined_walls = []
-            for _rep in range(FABRIC_REPEATS):
-                start = time.perf_counter()
-                results = _run_windowed(back, specs)
-                pipelined_walls.append(time.perf_counter() - start)
-                raise_on_errors(results,
-                                f"fabric bench ({backend}, pipelined)")
-        finally:
-            back.close()
-        wall = sum(statistics.median(times) for times in cell_seconds)
-        pipelined = statistics.median(pipelined_walls)
-        row = {
-            "wall_seconds": round(wall, 3),
-            "seconds_per_cell": round(wall / len(specs), 4),
-            "pipelined_wall_seconds": round(pipelined, 3),
-            "pipelined_seconds_per_cell": round(pipelined / len(specs), 4),
-        }
-        if baseline is None:
-            baseline = row
-        else:
-            if wall:
-                row["speedup_vs_local_process"] = round(
-                    baseline["wall_seconds"] / wall, 3)
-                row["per_cell_overhead_delta"] = round(
-                    (baseline["wall_seconds"] - wall) / len(specs), 4)
-            if pipelined:
-                row["pipelined_speedup_vs_local_process"] = round(
-                    baseline["pipelined_wall_seconds"] / pipelined, 3)
-                row["pipelined_per_cell_overhead_delta"] = round(
-                    (baseline["pipelined_wall_seconds"] - pipelined)
-                    / len(specs), 4)
-        out["backends"][backend] = row
-    return out
-
-
-def _run_windowed(back, specs) -> List[object]:
-    """Submit ``specs`` through a sliding window of ``back.capacity()``
-    in-flight cells, retiring oldest-first (the executor's submit
-    discipline, minus cache/journal)."""
-    results: List[object] = []
-    inflight: List[object] = []
-    index = 0
-    while index < len(specs) or inflight:
-        while index < len(specs) and len(inflight) < back.capacity():
-            inflight.append(back.submit(specs[index]))
-            index += 1
-        handle = inflight.pop(0)
-        results.append(handle.result(timeout=300))
-        handle.close()
-    return results
 
 
 def measure_sampling(workload: str = "twolf", *,
@@ -671,7 +548,6 @@ def run_bench(*, jobs: Optional[int] = None, quick: bool = False,
                             progress=progress)
     sweep = measure_sweep(sweep_workloads, sweep_configs, budget, jobs,
                           backend=backend, progress=progress)
-    fabric = measure_fabric(jobs, progress=progress)
     sampling = measure_sampling(quick=quick, progress=progress)
     metrics = measure_metrics(serial_workloads[0], budget,
                               progress=progress)
@@ -700,7 +576,6 @@ def run_bench(*, jobs: Optional[int] = None, quick: bool = False,
                 [row["kinsts_per_sec"] for row in serial.values()]), 2),
         },
         "sweep": sweep,
-        "fabric": fabric,
         "sampling": sampling,
         "metrics": metrics,
         "surrogate": surrogate,
@@ -742,21 +617,6 @@ def render_summary(data: dict) -> str:
         f"cached {sweep['cached_seconds']}s "
         f"({100 * sweep['cached_fraction_of_cold']:.1f}% of cold)",
     ]
-    fabric = data.get("fabric")
-    if fabric:
-        parts = []
-        for name, row in fabric["backends"].items():
-            if "skipped" in row:
-                parts.append(f"{name} skipped")
-            else:
-                extra = (f", {row['speedup_vs_local_process']}x"
-                         if "speedup_vs_local_process" in row else "")
-                piped = (f" ({row['pipelined_seconds_per_cell']}s piped)"
-                         if "pipelined_seconds_per_cell" in row else "")
-                parts.append(f"{name} {row['seconds_per_cell']}s/cell"
-                             f"{piped}{extra}")
-        lines.append(f"  fabric {fabric['cells']} tiny cells "
-                     f"(serial submits, warm workers): " + ", ".join(parts))
     sampling = data.get("sampling")
     if sampling:
         lines.append(

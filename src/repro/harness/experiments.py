@@ -33,17 +33,17 @@ PRESCHED_LINES = (8, 24, 56, 120)
 class ExperimentRunner:
     """Caches simulation runs across one experiment invocation.
 
-    With ``jobs`` > 1 the experiment's whole grid is discovered up front
-    (see :meth:`prefetch`) and fanned out over a process pool; ``cache``
-    threads an on-disk :class:`~repro.harness.cache.ResultCache` through
-    every cell so repeated invocations skip simulation entirely.
+    With ``execution.jobs`` > 1 the experiment's whole grid is discovered
+    up front (see :meth:`prefetch`) and fanned out over a process pool;
+    ``execution.cache`` threads an on-disk
+    :class:`~repro.harness.cache.ResultCache` through every cell so
+    repeated invocations skip simulation entirely.
     """
 
     def __init__(self, workloads: Sequence[str],
                  budget_factor: float = 1.0,
                  progress: Optional[Callable[[str], None]] = None, *,
                  execution=None,
-                 jobs: int = 1, cache=None,
                  sampling=None, sampling_scale: int = 1,
                  metrics=None, surrogate: bool = False) -> None:
         unknown = set(workloads) - set(WORKLOADS)
@@ -54,14 +54,12 @@ class ExperimentRunner:
         self.progress = progress
         if execution is None:
             from repro.fabric import ExecutionConfig
-            execution = ExecutionConfig(jobs=jobs, cache=cache)
+            execution = ExecutionConfig()
         #: The fabric placement for this experiment's cells (backend,
-        #: worker count, cache); ``jobs``/``cache`` mirror it for
-        #: callers that still read the old attributes.
+        #: worker count, cache).
         self.execution = execution
-        self.jobs = execution.resolve_jobs(jobs)
-        self.cache = execution.cache if execution.cache is not None \
-            else cache
+        self.jobs = execution.resolve_jobs(1)
+        self.cache = execution.cache
         #: Optional SamplingConfig: estimate every cell by interval
         #: sampling (at ``sampling_scale``x the workload size) instead of
         #: simulating it in full detail.
@@ -211,17 +209,15 @@ class Experiment:
     def run(self, workloads: Optional[Sequence[str]] = None,
             budget_factor: float = 1.0,
             progress: Optional[Callable[[str], None]] = None, *,
-            execution=None, jobs=None, cache=None,
-            sampling=None, sampling_scale: int = 1,
+            execution=None, sampling=None, sampling_scale: int = 1,
             metrics=None, surrogate: bool = False) -> Tuple[str, dict]:
         """Returns (rendered report, raw data dict).
 
         ``execution`` is an optional
         :class:`~repro.fabric.ExecutionConfig` choosing the execution
         backend, worker count, and result cache for the experiment's
-        grid.  ``jobs=``/``cache=`` are the deprecated spelling (one
-        release of grace): ``jobs`` > 1 fans the grid out in parallel,
-        ``cache`` reuses results across invocations (see
+        grid: ``jobs`` > 1 fans the grid out in parallel, ``cache``
+        reuses results across invocations (see
         :mod:`repro.harness.cache`).  ``sampling`` estimates every cell
         by interval sampling instead of full-detail simulation (see
         :mod:`repro.sampling`) — faster, with a small statistical error
@@ -231,11 +227,6 @@ class Experiment:
         (:mod:`repro.harness.surrogate`): non-competitive cells carry
         predicted results marked ``stats["surrogate.predicted"]``.
         """
-        from repro.fabric.base import UNSET, merge_legacy_kwargs
-        execution = merge_legacy_kwargs(
-            execution, where="Experiment.run",
-            jobs=UNSET if jobs is None else jobs,
-            cache=UNSET if cache is None else cache)
         runner = ExperimentRunner(workloads or sorted(WORKLOADS),
                                   budget_factor, progress,
                                   execution=execution,

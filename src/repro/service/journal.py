@@ -2,55 +2,46 @@
 
 Every job state transition is one line::
 
-    {"job": "j-000001", "state": "pending", "record": {...full job...}}
+    {"job": "j-000001", "record": {...full job...}, "state": "pending", ...}
     {"job": "j-000001", "state": "running", "t": 1722.5}
     {"job": "j-000001", "state": "done", "t": 1724.1, ...}
 
 The first line for a job carries the full submission record (tenant,
-kind, canonical payload, key); later lines are deltas.  Appends are
-flushed and ``os.fsync``'d before the service acts on the transition,
-so after a ``kill -9`` the journal never *under*-reports: a job may be
-re-run (its execution was in flight) but is never lost, and a terminal
-state is never forgotten.
+kind, canonical payload, key); later lines are deltas.  The journal is
+a fold over an :class:`~repro.common.appendlog.AppendLog`, so every
+append is fsync'd before the service acts on the transition: after a
+``kill -9`` the journal never *under*-reports — a job may be re-run
+(its execution was in flight) but is never lost, and a terminal state
+is never forgotten.
 
 :func:`JobJournal.replay` folds the lines back into job records,
-tolerating a torn final line (the one partial write a crash can leave).
+skipping a torn final line (the one partial write a crash can leave).
 On startup the service compacts: terminal jobs beyond a keep-bound are
-dropped and the file is rewritten via ``os.replace``.
+dropped and the log is rewritten atomically.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.common.appendlog import AppendLog
 from repro.service.jobs import TERMINAL_STATES
 
 
 class JobJournal:
     """Append-only JSONL journal for job state transitions."""
 
-    def __init__(self, path, *, fsync: bool = True) -> None:
-        self.path = Path(path)
-        self.fsync = fsync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        #: Torn trailing lines dropped by the last replay (diagnostic).
-        self.torn_lines = 0
+    def __init__(self, path) -> None:
+        self.log = AppendLog(path)
+        self.path = self.log.path
 
     # ------------------------------------------------------------- write --
     def append(self, job_id: str, state: str, **extra) -> None:
         """Durably record that ``job_id`` entered ``state``."""
         line = {"job": job_id, "state": state, "t": round(time.time(), 3)}
         line.update(extra)
-        self._fh.write(json.dumps(line, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        self.log.append(line)
 
     def submitted(self, job) -> None:
         """First line for a job: the full record, enough to re-create it."""
@@ -63,12 +54,6 @@ class JobJournal:
             "submitted_at": job.submitted_at,
         })
 
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-
     # -------------------------------------------------------------- read --
     @staticmethod
     def replay(path) -> Dict[str, dict]:
@@ -80,35 +65,24 @@ class JobJournal:
         with fsync'd appends, but tolerated) and the one possibly-partial
         final line are skipped, never fatal.
         """
-        path = Path(path)
         jobs: Dict[str, dict] = {}
-        if not path.exists():
-            return jobs
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue            # torn tail of a crashed append
-                job_id = line.get("job")
-                state = line.get("state")
-                if not job_id or not state:
-                    continue
-                if job_id not in jobs:
-                    record = line.get("record")
-                    if not isinstance(record, dict):
-                        continue        # delta for a job we never saw
-                    jobs[job_id] = dict(record, id=job_id, state=state)
-                else:
-                    folded = jobs[job_id]
-                    folded["state"] = state
-                    for extra in ("error", "result_key", "artifact",
-                                  "dedupe", "shared_with", "started_at"):
-                        if extra in line:
-                            folded[extra] = line[extra]
+        for line in AppendLog(path).records():
+            job_id = line.get("job")
+            state = line.get("state")
+            if not isinstance(job_id, str) or not state:
+                continue
+            if job_id not in jobs:
+                record = line.get("record")
+                if not isinstance(record, dict):
+                    continue            # delta for a job we never saw
+                jobs[job_id] = dict(record, id=job_id, state=state)
+            else:
+                folded = jobs[job_id]
+                folded["state"] = state
+                for extra in ("error", "result_key", "artifact",
+                              "dedupe", "shared_with", "started_at"):
+                    if extra in line:
+                        folded[extra] = line[extra]
         return jobs
 
     # --------------------------------------------------------- compaction --
@@ -119,7 +93,6 @@ class JobJournal:
         Called on startup, before resuming: bounds journal growth across
         restarts without ever dropping work the server still owes.
         """
-        before = self.path.stat().st_size if self.path.exists() else 0
         jobs = self.replay(self.path)
         live = {job_id: folded for job_id, folded in jobs.items()
                 if folded["state"] not in TERMINAL_STATES}
@@ -127,25 +100,18 @@ class JobJournal:
                     if folded["state"] in TERMINAL_STATES]
         kept = dict(terminal[-keep_terminal:] if keep_terminal else [])
         kept.update(live)
-
-        self._fh.close()
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for job_id, folded in kept.items():
-                state = folded["state"]
-                record = {key: folded.get(key) for key in
-                          ("kind", "key", "tenant", "payload", "cost",
-                           "timeout", "parent", "shared_with", "dedupe",
-                           "artifact", "submitted_at")}
-                line = {"job": job_id, "state": state, "record": record}
-                for extra in ("error", "result_key", "started_at"):
-                    if folded.get(extra) is not None:
-                        line[extra] = folded[extra]
-                fh.write(json.dumps(line, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self.compacted_bytes = max(0, before - self.path.stat().st_size)
+        self.log.rewrite(self._compacted_line(job_id, folded)
+                         for job_id, folded in kept.items())
         return kept
+
+    @staticmethod
+    def _compacted_line(job_id: str, folded: dict) -> dict:
+        record = {key: folded.get(key) for key in
+                  ("kind", "key", "tenant", "payload", "cost", "timeout",
+                   "parent", "shared_with", "dedupe", "artifact",
+                   "submitted_at")}
+        line = {"job": job_id, "state": folded["state"], "record": record}
+        for extra in ("error", "result_key", "started_at"):
+            if folded.get(extra) is not None:
+                line[extra] = folded[extra]
+        return line

@@ -59,7 +59,7 @@ class ServiceConfig:
     #: Concurrent simulation workers (execution slots).
     jobs: int = 2
     #: Execution-backend spec placing jobs (see :mod:`repro.fabric`):
-    #: ``"local-process"``, ``"local-shm"``, ``"ssh:hosta,hostb"``.
+    #: ``"local-process"`` or ``"ssh:hosta,hostb"``.
     backend: str = "local-process"
     #: Backend-specific knobs forwarded to the factory.
     backend_options: Dict[str, object] = field(default_factory=dict)
@@ -77,8 +77,6 @@ class ServiceConfig:
                                          max_age_seconds=7 * 86400))
     #: Steps between GC sweeps (GC also runs on startup).
     gc_interval_steps: int = 500
-    #: fsync journal appends (tests may disable for speed).
-    journal_fsync: bool = True
     #: Terminal jobs kept through startup compaction.
     keep_terminal: int = 256
     #: Heartbeat cadence requested from workers.
@@ -100,8 +98,7 @@ class SimulationService:
         self.results_dir.mkdir(exist_ok=True)
         self.artifacts_dir.mkdir(exist_ok=True)
         self.cache = ResultCache(root / "cache", gc_policy=config.gc_policy)
-        self.journal = JobJournal(root / "journal.jsonl",
-                                  fsync=config.journal_fsync)
+        self.journal = JobJournal(root / "journal.jsonl")
         self.fabric = create_backend(config.backend, jobs=config.jobs,
                                      **config.backend_options)
         self.scheduler = FairScheduler(
@@ -709,7 +706,6 @@ class SimulationService:
             handle.close()
         self.running.clear()
         self.fabric.close()
-        self.journal.close()
 
     # ------------------------------------------------------------- routes --
     def handle(self, method: str, path: str, query: Dict[str, str],

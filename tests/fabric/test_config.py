@@ -1,7 +1,7 @@
-"""ExecutionConfig, the backend registry, and the one-release
-deprecation shims over the old ``jobs=``/``cache=`` kwarg sprawl."""
+"""ExecutionConfig, the backend registry, and worker-cache merging."""
 
 import dataclasses
+import importlib
 import warnings
 
 import pytest
@@ -10,20 +10,20 @@ from repro import api
 from repro.common.errors import ConfigurationError
 from repro.fabric import (ExecutionBackend, ExecutionConfig,
                           LocalProcessBackend, backend_names,
-                          create_backend, merge_legacy_kwargs,
-                          parse_backend_spec)
+                          create_backend, parse_backend_spec)
 from repro.harness import configs
 from repro.harness.cache import ResultCache
+from repro.harness.experiments import EXPERIMENTS
 from repro.harness.runner import RunResult
 from repro.harness.sweep import Sweep
 
 
 class TestBackendSpec:
     def test_builtins_are_registered(self):
-        assert {"local-process", "local-shm", "ssh"} <= set(backend_names())
+        assert {"local-process", "ssh"} <= set(backend_names())
 
     def test_parse_plain_and_ssh_specs(self):
-        assert parse_backend_spec("local-shm") == ("local-shm", {})
+        assert parse_backend_spec("local-process") == ("local-process", {})
         assert parse_backend_spec("ssh:hosta,hostb") == \
             ("ssh", {"hosts": ["hosta", "hostb"]})
         assert parse_backend_spec("ssh: a , b ") == \
@@ -31,7 +31,7 @@ class TestBackendSpec:
 
     def test_non_ssh_argument_is_rejected(self):
         with pytest.raises(ConfigurationError, match="takes no ':'"):
-            parse_backend_spec("local-shm:8")
+            parse_backend_spec("local-process:8")
 
     def test_unknown_backend_lists_registered(self):
         with pytest.raises(ConfigurationError, match="local-process"):
@@ -71,48 +71,31 @@ class TestExecutionConfig:
 
 
 class TestLegacyKwargs:
-    def test_merge_warns_and_folds(self):
-        cache = ResultCache(enabled=False)
-        with pytest.warns(DeprecationWarning, match="docs/fabric.md"):
-            execution = merge_legacy_kwargs(None, where="somewhere",
-                                            jobs=4, cache=cache)
-        assert execution.jobs == 4
-        assert execution.cache is cache
+    """``execution=`` is the only spelling of jobs/cache: the
+    one-release ``jobs=``/``cache=`` kwargs and the old executor module
+    are gone, not silently accepted."""
 
-    def test_explicit_execution_wins_over_legacy(self):
-        explicit = ExecutionConfig(jobs=8)
-        with pytest.warns(DeprecationWarning):
-            merged = merge_legacy_kwargs(explicit, where="somewhere",
-                                         jobs=2)
-        assert merged is explicit
-        assert merged.jobs == 8
+    def test_legacy_kwargs_are_rejected(self):
+        with pytest.raises(TypeError, match="cache"):
+            api.run(configs.ideal(32), "twolf",
+                    cache=ResultCache(enabled=False))
+        sweep = Sweep(workloads=["twolf"])
+        sweep.add_config("ideal-32", configs.ideal(32))
+        with pytest.raises(TypeError, match="jobs"):
+            sweep.run(jobs=2)
+        with pytest.raises(TypeError, match="jobs"):
+            EXPERIMENTS["headline"].run(workloads=["twolf"], jobs=2)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.harness.parallel")
 
-    def test_no_legacy_kwargs_no_warning(self):
+    def test_no_legacy_kwargs_no_warning(self, tmp_path):
+        sweep = Sweep(workloads=["twolf"], max_instructions=600)
+        sweep.add_config("ideal-32", configs.ideal(32))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            execution = merge_legacy_kwargs(None, where="somewhere")
-        assert execution.jobs is None
-
-    def test_parallel_executor_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.fabric"):
-            from repro.harness.parallel import ParallelExecutor
-            executor = ParallelExecutor(2)
-        assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-
-    def test_sweep_run_jobs_kwarg_warns(self, tmp_path):
-        sweep = Sweep(workloads=["twolf"], max_instructions=800)
-        sweep.add_config("ideal-32", configs.ideal(32))
-        with pytest.warns(DeprecationWarning, match="Sweep.run"):
-            grid = sweep.run(jobs=1,
-                             cache=ResultCache(tmp_path / "cache"))
+            grid = sweep.run(execution=ExecutionConfig(
+                cache=ResultCache(tmp_path / "cache")))
         assert grid.results["twolf"]["ideal-32"].ipc > 0
-
-    def test_api_run_cache_kwarg_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="api.run"):
-            result = api.run(configs.ideal(32), "twolf",
-                             max_instructions=600,
-                             cache=ResultCache(tmp_path / "cache"))
-        assert result.ipc > 0
 
     def test_api_run_execution_config(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -122,10 +105,6 @@ class TestLegacyKwargs:
                          execution=ExecutionConfig(cache=cache))
         assert cache.hits == 1
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
-
-
-def _double(x):
-    return x * 2
 
 
 def _result(workload="twolf", config="ideal-32", ipc=1.25):

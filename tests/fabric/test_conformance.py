@@ -4,8 +4,7 @@ Every registered backend must (a) produce bit-identical results to
 serial in-process execution, in input order; (b) honour the hard-kill
 task contract (cancel and worker death settle the handle, never hang);
 (c) recover from a dead worker — the next submission gets a fresh one.
-Backends a platform cannot provide (e.g. ``local-shm`` without fork)
-skip rather than fail.
+Backends a platform cannot provide skip rather than fail.
 """
 
 import dataclasses
@@ -22,7 +21,7 @@ from repro.harness.runner import RunResult
 
 #: Spec strings the suite conforms. ``ssh:local`` is the transport-free
 #: form of the ssh backend: same worker, same JSONL wire, no ssh.
-BACKENDS = ["local-process", "local-shm", "ssh:local"]
+BACKENDS = ["local-process", "ssh:local"]
 
 
 def _grid_specs():
@@ -153,21 +152,6 @@ class TestWorkerDeathMidCell:
     """Kill the worker while a *cell* (not a task) is computing: the
     handle settles with a CellError and the backend recovers — the next
     submission gets a fresh worker."""
-
-    def test_shm_worker_death(self):
-        back = _backend_or_skip("local-shm")
-        try:
-            handle = back.submit(_long_spec())
-            back._workers[0].process.kill()
-            _wait(handle.poll, message="shm death report")
-            result = handle.result()
-            assert isinstance(result, CellError)
-            assert "died" in result.error
-            back.tick()                     # reaps the corpse
-            retry = back.submit(_small_spec()).result(timeout=120)
-            assert isinstance(retry, RunResult), retry
-        finally:
-            back.close()
 
     def test_ssh_channel_death(self):
         back = _backend_or_skip("ssh:local")

@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.common.errors import ConfigurationError
+from repro.fabric import ExecutionConfig
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.obs import MetricsCollector, MetricsConfig, RingBufferTracer
@@ -97,24 +98,27 @@ class TestSampling:
 class TestCache:
     def test_populates_and_hits(self):
         cache = ResultCache()
-        cold = api.run(PARAMS, "twolf", max_instructions=1200, cache=cache)
+        execution = ExecutionConfig(cache=cache)
+        cold = api.run(PARAMS, "twolf", max_instructions=1200,
+                       execution=execution)
         files = sorted(cache.directory.glob("*.json"))
         assert len(files) == 1
-        warm = api.run(PARAMS, "twolf", max_instructions=1200, cache=cache)
+        warm = api.run(PARAMS, "twolf", max_instructions=1200,
+                       execution=execution)
         assert (warm.ipc, warm.cycles) == (cold.ipc, cold.cycles)
         assert sorted(cache.directory.glob("*.json")) == files
 
     def test_hit_restores_config_label(self):
-        cache = ResultCache()
-        api.run(PARAMS, "twolf", max_instructions=1200, cache=cache)
+        execution = ExecutionConfig(cache=ResultCache())
+        api.run(PARAMS, "twolf", max_instructions=1200, execution=execution)
         warm = api.run(PARAMS, "twolf", max_instructions=1200,
-                       cache=cache, config_label="renamed")
+                       execution=execution, config_label="renamed")
         assert warm.config == "renamed"
 
     def test_instrumented_runs_skip_cache(self):
         cache = ResultCache()
-        api.run(PARAMS, "twolf", max_instructions=1200, cache=cache,
-                metrics=100)
+        api.run(PARAMS, "twolf", max_instructions=1200,
+                execution=ExecutionConfig(cache=cache), metrics=100)
         assert not list(cache.directory.glob("*.json"))
 
 

@@ -152,7 +152,7 @@ class TestCLI:
         artifacts = list(tmp_path.glob("BENCH_*.json"))
         assert len(artifacts) == 1
         data = json.loads(artifacts[0].read_text())
-        assert data["schema"] == 8
+        assert data["schema"] == 9
         assert data["sweep"]["cache_hits"] == data["sweep"]["cells"]
         assert data["sampling"]["detail_cycle_ratio"] > 1
         assert data["surrogate"]["scored_cells"] > 0

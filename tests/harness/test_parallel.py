@@ -1,14 +1,15 @@
-"""Tests for the process-pool executor: determinism, fallback, errors."""
+"""Tests for the fabric executor on the ``local-process`` pool:
+determinism, fallback, errors, caching and cancellable submits."""
 
 import dataclasses
 
 import pytest
 
+from repro.fabric import (CellError, ExecutionConfig, Executor, RunSpec,
+                          default_jobs, raise_on_errors)
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS
-from repro.harness.parallel import (CellError, ParallelExecutor, RunSpec,
-                                    default_jobs, raise_on_errors)
 from repro.harness.runner import RunResult
 from repro.harness.sweep import Sweep
 
@@ -21,6 +22,10 @@ def _boom(x):
     raise ValueError(f"boom {x}")
 
 
+def _executor(jobs, **fields) -> Executor:
+    return Executor(ExecutionConfig(jobs=jobs, **fields))
+
+
 def _tiny_sweep() -> Sweep:
     sweep = Sweep(workloads=["twolf", "swim"], max_instructions=1500)
     sweep.add_config("ideal-32", configs.ideal(32))
@@ -31,17 +36,17 @@ def _tiny_sweep() -> Sweep:
 
 class TestMap:
     def test_serial_preserves_order(self):
-        executor = ParallelExecutor(1)
+        executor = _executor(1)
         assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert not executor.fell_back_to_serial
 
     def test_parallel_preserves_order(self):
-        executor = ParallelExecutor(4)
+        executor = _executor(4)
         assert executor.map(_square, list(range(8))) == \
             [x * x for x in range(8)]
 
     def test_worker_exception_surfaces_per_cell(self):
-        executor = ParallelExecutor(2)
+        executor = _executor(2)
         out = executor.map(_boom, [1, 2], labels=["a", "b"])
         assert all(isinstance(cell, CellError) for cell in out)
         assert "boom 1" in out[0].error
@@ -49,7 +54,7 @@ class TestMap:
         assert "ValueError" in out[0].error
 
     def test_mixed_success_and_failure_keeps_positions(self):
-        executor = ParallelExecutor(2)
+        executor = _executor(2)
 
         def check(out):
             assert out[0] == 1 and out[2] == 9
@@ -58,7 +63,7 @@ class TestMap:
         check(executor.map(_flaky, [1, 0, 3]))
 
     def test_unpicklable_payload_falls_back_to_serial(self):
-        executor = ParallelExecutor(4)
+        executor = _executor(4)
         out = executor.map(lambda x: x + 1, [1, 2, 3])
         assert out == [2, 3, 4]
         assert executor.fell_back_to_serial
@@ -71,17 +76,15 @@ class TestMap:
 
     def test_serial_progress_callback(self):
         seen = []
-        executor = ParallelExecutor(1,
-                                    progress=lambda done, total:
-                                    seen.append((done, total)))
+        executor = _executor(1, progress=lambda done, total:
+                             seen.append((done, total)))
         executor.map(_square, [1, 2, 3])
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_pooled_progress_callback(self):
         seen = []
-        executor = ParallelExecutor(2,
-                                    progress=lambda done, total:
-                                    seen.append((done, total)))
+        executor = _executor(2, progress=lambda done, total:
+                             seen.append((done, total)))
         executor.map(_square, [1, 2, 3, 4])
         assert sorted(seen) == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
@@ -103,7 +106,7 @@ class TestDeterminism:
 
     def test_sweep_parallel_matches_serial_exactly(self):
         serial = _tiny_sweep().run()
-        parallel = _tiny_sweep().run(jobs=4)
+        parallel = _tiny_sweep().run(execution=ExecutionConfig(jobs=4))
         for workload in serial.workloads:
             for label in serial.config_labels:
                 a = serial.results[workload][label]
@@ -114,8 +117,8 @@ class TestDeterminism:
     def test_spawn_start_method_matches_serial(self):
         spec = RunSpec("twolf", configs.ideal(32), config_label="ideal-32",
                        max_instructions=800)
-        serial = ParallelExecutor(1).run_specs([spec, spec])
-        spawned = ParallelExecutor(2, start_method="spawn").run_specs(
+        serial = _executor(1).run_specs([spec, spec])
+        spawned = _executor(2, options={"start_method": "spawn"}).run_specs(
             [spec, spec])
         raise_on_errors(spawned, "spawn")
         assert dataclasses.asdict(serial[0]) == dataclasses.asdict(spawned[0])
@@ -125,7 +128,8 @@ class TestDeterminism:
         report_serial, data_serial = experiment.run(
             workloads=["twolf"], budget_factor=0.01)
         report_parallel, data_parallel = experiment.run(
-            workloads=["twolf"], budget_factor=0.01, jobs=2)
+            workloads=["twolf"], budget_factor=0.01,
+            execution=ExecutionConfig(jobs=2))
         assert report_serial == report_parallel
         assert data_serial == data_parallel
 
@@ -135,9 +139,9 @@ class TestRunSpecsCaching:
         cache = ResultCache(tmp_path)
         spec = RunSpec("twolf", configs.ideal(32), config_label="ideal-32",
                        max_instructions=800)
-        first = ParallelExecutor(1, cache=cache).run_specs([spec])
+        first = _executor(1, cache=cache).run_specs([spec])
         assert cache.hits == 0 and cache.misses == 1
-        second = ParallelExecutor(1, cache=cache).run_specs([spec])
+        second = _executor(1, cache=cache).run_specs([spec])
         assert cache.hits == 1
         assert dataclasses.asdict(first[0]) == dataclasses.asdict(second[0])
 
@@ -145,9 +149,9 @@ class TestRunSpecsCaching:
         cache = ResultCache(tmp_path)
         spec = RunSpec("twolf", configs.ideal(32), config_label="ideal-32",
                        max_instructions=800)
-        ParallelExecutor(1, cache=cache).run_specs([spec])
+        _executor(1, cache=cache).run_specs([spec])
         renamed = dataclasses.replace(spec, config_label="other-name")
-        cells = ParallelExecutor(1, cache=cache).run_specs([renamed])
+        cells = _executor(1, cache=cache).run_specs([renamed])
         assert cache.hits == 1
         assert isinstance(cells[0], RunResult)
         assert cells[0].config == "other-name"
@@ -178,7 +182,7 @@ def _die_silently(item, emit):
 
 class TestSubmitHandles:
     def test_submit_returns_result_and_ticks(self):
-        handle = ParallelExecutor(1).submit(_emit_and_return, 7, label="x")
+        handle = _executor(1).submit(_emit_and_return, 7, label="x")
         assert handle.result(timeout=30) == 70
         assert handle.poll()
         assert {"step": 1} in handle.ticks() or True  # ticks drained below
@@ -186,14 +190,14 @@ class TestSubmitHandles:
         assert handle.ticks() == []
 
     def test_submit_surfaces_exceptions_as_cell_errors(self):
-        handle = ParallelExecutor(1).submit(_fail_task, 3, label="bad")
+        handle = _executor(1).submit(_fail_task, 3, label="bad")
         result = handle.result(timeout=30)
         assert isinstance(result, CellError)
         assert "kaput 3" in result.error
         assert not handle.cancelled
 
     def test_cancel_terminates_a_running_task(self):
-        handle = ParallelExecutor(1).submit(_sleep_forever, 0, label="spin")
+        handle = _executor(1).submit(_sleep_forever, 0, label="spin")
         # Wait until the worker proves it started, then kill it.
         deadline = 30.0
         import time
@@ -208,7 +212,7 @@ class TestSubmitHandles:
         assert not handle.cancel()       # idempotent once finished
 
     def test_worker_death_is_reported_not_hung(self):
-        handle = ParallelExecutor(1).submit(_die_silently, 0, label="dead")
+        handle = _executor(1).submit(_die_silently, 0, label="dead")
         import time
         start = time.time()
         while not handle.poll():
@@ -221,9 +225,9 @@ class TestSubmitHandles:
     def test_submit_spec_matches_run_specs(self):
         spec = RunSpec("twolf", configs.ideal(32), config_label="ideal-32",
                        max_instructions=1200)
-        handle = ParallelExecutor(1).submit_spec(spec)
+        handle = _executor(1).submit_spec(spec)
         async_result = handle.result(timeout=120)
-        [batch_result] = ParallelExecutor(1).run_specs([spec])
+        [batch_result] = _executor(1).run_specs([spec])
         assert isinstance(async_result, RunResult)
         assert (async_result.ipc, async_result.cycles,
                 async_result.stats) == \
@@ -233,7 +237,7 @@ class TestSubmitHandles:
         path = tmp_path / "cell.jsonl"
         spec = RunSpec("twolf", configs.ideal(32), config_label="ideal-32",
                        max_instructions=800, trace_path=str(path))
-        handle = ParallelExecutor(1).submit_spec(spec)
+        handle = _executor(1).submit_spec(spec)
         result = handle.result(timeout=120)
         assert isinstance(result, RunResult), result
         lines = path.read_text().splitlines()

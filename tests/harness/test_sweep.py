@@ -120,12 +120,13 @@ class TestSampledSweep:
     def test_sampled_sweep_deterministic_across_jobs(self):
         import dataclasses
 
+        from repro.fabric import ExecutionConfig
         from repro.sampling import SamplingConfig
         sampling = SamplingConfig(num_windows=4, warmup_instructions=200,
                                   measure_instructions=300)
         serial = self._sweep().run(sampling=sampling, sampling_scale=2)
         fanned = self._sweep().run(sampling=sampling, sampling_scale=2,
-                                   jobs=2)
+                                   execution=ExecutionConfig(jobs=2))
         for label in serial.config_labels:
             assert dataclasses.asdict(serial.results["twolf"][label]) == \
                 dataclasses.asdict(fanned.results["twolf"][label])

@@ -22,7 +22,6 @@ class TestReplay:
         journal.append("j-000001", "running", started_at=12.5)
         journal.append("j-000001", "done")
         journal.submitted(_job("j-000002", tenant="bob"))
-        journal.close()
 
         folded = JobJournal.replay(path)
         assert folded["j-000001"]["state"] == "done"
@@ -39,7 +38,6 @@ class TestReplay:
         journal = JobJournal(path)
         journal.submitted(_job("j-000001"))
         journal.append("j-000001", "running")
-        journal.close()
         with open(path, "a") as handle:
             handle.write('{"job": "j-000001", "state": "do')  # crash here
         folded = JobJournal.replay(path)
@@ -55,7 +53,6 @@ class TestReplay:
         folded = JobJournal.replay(path)
         assert folded["j-000001"]["artifact"] == "j-000001.jsonl"
         journal.compact()
-        journal.close()
         compacted = JobJournal.replay(path)
         assert compacted["j-000001"]["artifact"] == "j-000001.jsonl"
 
@@ -65,7 +62,6 @@ class TestReplay:
         journal.submitted(_job("j-000001"))
         journal.append("j-000001", "failed", error="boom",
                        artifact="j-000001.jsonl")
-        journal.close()
         folded = JobJournal.replay(path)
         assert folded["j-000001"]["error"] == "boom"
         assert folded["j-000001"]["artifact"] == "j-000001.jsonl"
@@ -81,7 +77,6 @@ class TestCompaction:
             if index <= 8:
                 journal.append(job_id, "done")
         kept = journal.compact(keep_terminal=3)
-        journal.close()
         # 2 live + the 3 most recent terminal survive.
         assert set(kept) == {"j-000006", "j-000007", "j-000008",
                              "j-000009", "j-000010"}
@@ -97,7 +92,6 @@ class TestCompaction:
         journal.append("j-000001", "running", started_at=3.0)
         journal.compact()
         journal.append("j-000001", "done")
-        journal.close()
         folded = JobJournal.replay(path)
         record = folded["j-000001"]
         assert record["cost"] == 42.0
@@ -111,6 +105,5 @@ class TestCompaction:
         journal.submitted(_job("j-000001"))
         journal.append("j-000001", "done")
         journal.compact()
-        journal.close()
         for line in path.read_text().splitlines():
             json.loads(line)

@@ -33,11 +33,12 @@ SURVIVOR_CELL = {"workload": "twolf", "max_instructions": 60_000, "scale": 10,
 
 def _spawn(store: Path, log_path: Path, *, port: int = 0) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    log = open(log_path, "ab")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--store", str(store),
-         "--port", str(port), "--no-fsync", "--jobs", "2"],
-        stdout=subprocess.DEVNULL, stderr=log, env=env, cwd=str(ROOT))
+    # The child keeps its own copy of the log descriptor.
+    with open(log_path, "ab") as log:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--store", str(store),
+             "--port", str(port), "--jobs", "2"],
+            stdout=subprocess.DEVNULL, stderr=log, env=env, cwd=str(ROOT))
 
 
 def _wait_port(log_path: Path, proc: subprocess.Popen,

@@ -17,7 +17,7 @@ CELL = {"workload": "twolf", "max_instructions": 2000,
 
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
-    fields = dict(store_dir=tmp_path / "svc", jobs=2, journal_fsync=False)
+    fields = dict(store_dir=tmp_path / "svc", jobs=2)
     fields.update(overrides)
     return ServiceConfig(**fields)
 
@@ -35,7 +35,6 @@ class TestResume:
         svc1 = SimulationService(_config(tmp_path))
         a = svc1.submit(dict(CELL, max_instructions=2001))
         b = svc1.submit(dict(CELL, max_instructions=2002), tenant="bob")
-        svc1.journal.close()           # crash: nothing ever ran
 
         svc2 = SimulationService(_config(tmp_path))
         try:
@@ -69,7 +68,6 @@ class TestResume:
         svc1.journal.append = crash_before_terminal
         client1.wait(job["id"], timeout=90)
         assert svc1.cache.get(svc1.jobs[job["id"]].key) is not None
-        svc1.journal.close()
 
         svc2 = SimulationService(_config(tmp_path))
         try:
@@ -90,7 +88,6 @@ class TestResume:
         primary = svc1.submit(CELL, tenant="alice")
         twin = svc1.submit(CELL, tenant="bob")
         assert twin.dedupe == "inflight"
-        svc1.journal.close()
 
         svc2 = SimulationService(_config(tmp_path))
         try:
@@ -114,7 +111,6 @@ class TestResume:
         svc1 = SimulationService(_config(tmp_path))
         job = svc1.submit(dict(CELL, trace="jsonl"))
         assert job.artifact
-        svc1.journal.close()           # crash before it ever ran
 
         svc2 = SimulationService(_config(tmp_path))
         try:

@@ -18,8 +18,7 @@ CELL = {"workload": "twolf", "max_instructions": 2000,
 @pytest.fixture
 def service(tmp_path):
     svc = SimulationService(ServiceConfig(
-        store_dir=tmp_path / "svc", jobs=2, journal_fsync=False,
-        default_timeout=120.0))
+        store_dir=tmp_path / "svc", jobs=2, default_timeout=120.0))
     yield svc
     svc.close()
 
@@ -131,8 +130,7 @@ class TestDedupe:
 class TestAdmission:
     def test_backpressure_when_queue_is_full(self, tmp_path):
         svc = SimulationService(ServiceConfig(
-            store_dir=tmp_path / "svc", jobs=1, max_depth=2,
-            journal_fsync=False))
+            store_dir=tmp_path / "svc", jobs=1, max_depth=2))
         client = InProcessClient(svc)
         try:
             # No step() calls: both jobs stay queued.
@@ -152,7 +150,7 @@ class TestAdmission:
     def test_per_tenant_depth_bound(self, tmp_path):
         svc = SimulationService(ServiceConfig(
             store_dir=tmp_path / "svc", jobs=1, max_depth=50,
-            max_tenant_depth=1, journal_fsync=False))
+            max_tenant_depth=1))
         client = InProcessClient(svc)
         try:
             client.submit(dict(CELL, max_instructions=2001))
@@ -167,7 +165,7 @@ class TestAdmission:
         whole: no parent, no children, nothing journaled or queued."""
         svc = SimulationService(ServiceConfig(
             store_dir=tmp_path / "svc", jobs=1, max_depth=50,
-            max_tenant_depth=2, journal_fsync=False))
+            max_tenant_depth=2))
         client = InProcessClient(svc)
         try:
             with pytest.raises(Backpressure) as exc:
@@ -197,8 +195,7 @@ class TestAdmission:
         sweep whose cells would overflow the remaining queue space is
         bounced without journaling the parent or any child."""
         svc = SimulationService(ServiceConfig(
-            store_dir=tmp_path / "svc", jobs=1, max_depth=3,
-            journal_fsync=False))
+            store_dir=tmp_path / "svc", jobs=1, max_depth=3))
         client = InProcessClient(svc)
         try:
             occupant = client.submit(dict(CELL, max_instructions=2001))
@@ -279,8 +276,7 @@ class TestCancellation:
 class TestTimeouts:
     def test_overrunning_job_is_reaped(self, tmp_path):
         svc = SimulationService(ServiceConfig(
-            store_dir=tmp_path / "svc", jobs=1, default_timeout=0.3,
-            journal_fsync=False))
+            store_dir=tmp_path / "svc", jobs=1, default_timeout=0.3))
         client = InProcessClient(svc)
         try:
             job = client.submit(dict(CELL, max_instructions=5_000_000,
@@ -329,7 +325,7 @@ class TestSweep:
 class TestGC:
     def test_result_store_respects_the_policy(self, tmp_path):
         svc = SimulationService(ServiceConfig(
-            store_dir=tmp_path / "svc", jobs=2, journal_fsync=False,
+            store_dir=tmp_path / "svc", jobs=2,
             gc_policy=GCPolicy(max_entries=1)))
         client = InProcessClient(svc)
         try:

@@ -24,7 +24,7 @@ BODY = {"kind": "sweep", "workloads": ["swim"], "configs": CONFIGS,
 @pytest.fixture
 def service(tmp_path):
     svc = SimulationService(ServiceConfig(
-        store_dir=tmp_path / "svc", jobs=2, journal_fsync=False))
+        store_dir=tmp_path / "svc", jobs=2))
     yield svc
     svc.close()
 
