@@ -43,23 +43,24 @@ class HitMissPredictor:
         self.stat_actual_misses = stats.counter("hmp.actual_misses")
         self.stat_covered_hits = stats.counter(
             "hmp.covered_hits", "actual hits that were predicted as hits")
-        # Outstanding predictions, keyed by dynamic seq.
+        # Outstanding predictions, keyed by the caller's per-load key.
         self._outstanding: Dict[int, bool] = {}
 
     def _index(self, pc: int) -> int:
         return pc % self.table_size
 
-    def predict_hit(self, pc: int, seq: int) -> bool:
-        """Predict whether the load at ``pc`` will hit in the L1."""
+    def predict_hit(self, pc: int, key: int) -> bool:
+        """Predict whether the load at ``pc`` will hit in the L1; ``key``
+        names the dynamic load until :meth:`train` is called with it."""
         self.stat_predictions.inc()
         predicted = (self._counters.get(pc % self.table_size, 0)
                      > self.confidence)
         if predicted:
             self.stat_predicted_hits.inc()
-        self._outstanding[seq] = predicted
+        self._outstanding[key] = predicted
         return predicted
 
-    def train(self, pc: int, seq: int, level: str) -> None:
+    def train(self, pc: int, key: int, level: str) -> None:
         """Train on the load's actual outcome when it completes."""
         hit = level in HIT_LEVELS
         index = pc % self.table_size
@@ -71,7 +72,7 @@ class HitMissPredictor:
         else:
             self._counters[index] = 0
             self.stat_actual_misses.inc()
-        predicted = self._outstanding.pop(seq, None)
+        predicted = self._outstanding.pop(key, None)
         if predicted:
             if hit:
                 self.stat_correct_hits.inc()

@@ -148,6 +148,9 @@ class SegmentedIQ(InstructionQueue):
         self._adaptive_thresholds = params.adaptive_thresholds
         self._threshold_update_interval = params.threshold_update_interval
         self._head_chains: Dict[int, Chain] = {}   # head seq -> chain
+        # This cache and the HMP's outstanding predictions are keyed by
+        # id(inst), not seq: an SMT processor renumbers seq between
+        # admission (can_dispatch) and dispatch.
         self._plan_cache: Dict[int, DispatchPlan] = {}
         self._issued_this_cycle = False
         self._promoted_this_cycle = False
@@ -214,7 +217,7 @@ class SegmentedIQ(InstructionQueue):
         """Decide chain membership / creation for ``inst`` (cached so that
         can_dispatch and dispatch agree and predictors are consulted once).
         """
-        cached = self._plan_cache.get(inst.seq)
+        cached = self._plan_cache.get(id(inst))
         if cached is not None:
             return cached
 
@@ -279,7 +282,7 @@ class SegmentedIQ(InstructionQueue):
         if inst.is_load:
             hmp = self.hmp
             predicted_hit = (hmp is not None
-                             and hmp.predict_hit(inst.pc, inst.seq))
+                             and hmp.predict_hit(inst.pc, id(inst)))
             if not predicted_hit:
                 needs_chain = True
                 head_latency = PREDICTED_LOAD_LATENCY
@@ -304,7 +307,7 @@ class SegmentedIQ(InstructionQueue):
         plan.lrp_choice = lrp_choice
         plan.lrp_consulted = lrp_consulted
         plan.head_latency = head_latency
-        self._plan_cache[inst.seq] = plan
+        self._plan_cache[id(inst)] = plan
         return plan
 
     def preferred_cluster(self, inst, now: int):
@@ -338,10 +341,10 @@ class SegmentedIQ(InstructionQueue):
 
     # --------------------------------------------------------- dispatch --
     def dispatch(self, inst, operands: List[Operand], now: int) -> IQEntry:
-        plan = self._plan_cache.pop(inst.seq, None)
+        plan = self._plan_cache.pop(id(inst), None)
         if plan is None:
             plan = self._plan(inst, now)
-            del self._plan_cache[inst.seq]
+            del self._plan_cache[id(inst)]
         engine = self._engine
         # Reuse the target can_dispatch just computed; occupancy is the
         # cheap staleness guard (inserts and removals both change it).
@@ -799,7 +802,7 @@ class SegmentedIQ(InstructionQueue):
 
     def notify_load_complete(self, inst, now: int) -> None:
         if self.hmp is not None and inst.mem_level is not None:
-            self.hmp.train(inst.pc, inst.seq, inst.mem_level)
+            self.hmp.train(inst.pc, id(inst), inst.mem_level)
         chain = self._head_chains.pop(inst.seq, None)
         if chain is not None:
             chain.resume(now)

@@ -4,6 +4,26 @@ Per-cycle stage order (see DESIGN.md section 7): drain memory events,
 commit, LSQ memory issue, IQ issue, IQ internal maintenance (promotion for
 the segmented design), dispatch, fetch.  Completions are event-scheduled at
 issue time, so wakeups become visible at the top of the completion cycle.
+
+Simultaneous multithreading (the paper's section-7 study) is the same
+pipeline with N thread contexts: pass a list of N dynamic streams instead
+of one.  Sharing model (one common SMT design point):
+
+* shared: events, memory hierarchy, function units, instruction queue (and
+  its chains), LSQ;
+* per-thread: front end (fetch state, branch predictor, BTB), rename map,
+  reorder buffer (an equal slice of the ROB capacity);
+* fetch: ICOUNT — each cycle the unfinished thread with the fewest ROB
+  entries fetches at full width;
+* dispatch/commit: shared bandwidth, least-occupied thread first / a
+  start thread rotating every cycle.
+
+Threads run independent programs in disjoint address spaces: thread t's
+data addresses are offset by t * 256 MB and its code by t * 16 MB, so cache
+interference is real but no false architectural sharing occurs, and the
+LSQ's same-address disambiguation never crosses threads.  With more than
+one thread, ``seq`` is renumbered at dispatch into one global dispatch
+order, which the shared IQ and LSQ use as instruction age.
 """
 
 from __future__ import annotations
@@ -20,13 +40,20 @@ from repro.core.iq_base import InstructionQueue, Operand
 from repro.core.segmented.links import NEVER
 from repro.frontend.fetch import FrontEnd
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import FUClass, OpClass
+from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
 from repro.pipeline.kernels import rename_kernel
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
+
+#: Per-thread address-space offsets (SMT).
+DATA_SPACE_BYTES = 256 * 1024 * 1024
+CODE_SPACE_BYTES = 16 * 1024 * 1024
+
+#: Op classes that complete at dispatch without entering the IQ.
+_BYPASS_IQ = (OpClass.HALT, OpClass.NOP, OpClass.JUMP)
 
 
 def build_iq(params: ProcessorParams, stats: StatGroup) -> InstructionQueue:
@@ -45,6 +72,17 @@ def build_iq(params: ProcessorParams, stats: StatGroup) -> InstructionQueue:
                                            stats)
 
 
+def _thread_stream(stream: Iterator[DynInst], thread: int,
+                   data_offset: int) -> Iterator[DynInst]:
+    """Tag a dynamic stream with its hardware thread and shift its data
+    addresses into the thread's private region."""
+    for inst in stream:
+        inst.thread = thread
+        if inst.mem_addr is not None:
+            inst.mem_addr += data_offset
+        yield inst
+
+
 @dataclass(frozen=True)
 class ProgressTick:
     """One heartbeat from a long :meth:`Processor.run`."""
@@ -58,6 +96,33 @@ class ProgressTick:
 #: Cycles between wall-clock checks on the progress path (keeps the
 #: heartbeat overhead out of the per-cycle hot loop).
 _PROGRESS_STRIDE = 4096
+
+
+class _Thread:
+    """One hardware thread context: front end, ROB slice, rename map."""
+
+    __slots__ = ("index", "frontend", "rob", "last_writer", "halted",
+                 "committed", "stat_committed")
+
+    def __init__(self, index: int, frontend: FrontEnd,
+                 rob: ReorderBuffer) -> None:
+        self.index = index
+        self.frontend = frontend
+        self.rob = rob
+        #: Architected register -> youngest in-flight writer.
+        self.last_writer: Dict[int, DynInst] = {}
+        self.halted = False
+        self.committed = 0
+        #: ``thread{t}.committed``; None when single-threaded.
+        self.stat_committed = None
+
+    @property
+    def done(self) -> bool:
+        return self.halted or (self.frontend.drained and len(self.rob) == 0)
+
+
+def _rob_occupancy(thread: _Thread) -> int:
+    return len(thread.rob)
 
 
 class _SkipReplay:
@@ -84,7 +149,11 @@ class _SkipReplay:
         self._stall_iq = proc.stat_dispatch_stall_iq
         self._stall_chain = proc.stat_dispatch_stall_chain
 
-    def replay(self, now: int, count: int, stall: str) -> None:
+    def replay(self, now: int, count: int, fetcher: _Thread,
+               stalls: List) -> None:
+        """``fetcher`` is the ICOUNT choice (fixed across a quiescent
+        stretch); ``stalls`` lists each dispatch-blocked thread with its
+        reason, in the order the stepped dispatch loop bumps them."""
         self._stat_cycles.inc(count)
         self._stat_skipped.inc(count)
         self._stat_windows.inc()
@@ -92,31 +161,43 @@ class _SkipReplay:
         iq = proc.iq
         iq.skip_cycles(now, count)
         proc.lsq.skip_cycles(now, count)
-        proc.frontend.skip_cycles(now, count)
-        rob = proc.rob      # dynamic: the ROB is swappable post-init
-        rob.stat_occupancy.sample_n(len(rob), count)
-        if stall == "rob":
-            rob.stat_full_stalls.inc(count)
-            self._stall_rob.inc(count)
-        elif stall == "lsq":
-            self._stall_lsq.inc(count)
-        elif stall == "iq":
-            self._stall_iq.inc(count)
-            # The probe's can_dispatch call already covered cycle `now`.
-            iq.skip_blocked_dispatch(count - 1)
-        elif stall == "chain":
-            self._stall_chain.inc(count)
-            iq.skip_blocked_dispatch(count - 1)
+        fetcher.frontend.skip_cycles(now, count)
+        rob = proc.threads[0].rob  # dynamic: the ROB is swappable post-init
+        rob.stat_occupancy.sample_n(proc.rob_occupancy, count)
+        for thread, stall in stalls:
+            if stall == "rob":
+                thread.rob.stat_full_stalls.inc(count)
+                self._stall_rob.inc(count)
+            elif stall == "lsq":
+                self._stall_lsq.inc(count)
+            elif stall == "iq":
+                self._stall_iq.inc(count)
+                # The probe's can_dispatch call already covered cycle `now`.
+                iq.skip_blocked_dispatch(count - 1)
+            else:
+                self._stall_chain.inc(count)
+                iq.skip_blocked_dispatch(count - 1)
 
 
 class Processor:
-    """Dynamically scheduled superscalar core running a dynamic stream."""
+    """Dynamically scheduled superscalar core running one dynamic stream,
+    or N streams as SMT hardware threads (pass a list or tuple)."""
 
-    def __init__(self, params: ProcessorParams, stream: Iterator[DynInst],
+    def __init__(self, params: ProcessorParams, stream,
                  stats: Optional[StatGroup] = None, *,
                  tracer=None, metrics=None) -> None:
         params.validate()
+        # Only a list/tuple means SMT: any other iterable (a generator, a
+        # wrapped iterator) is one thread's stream.
+        streams = (list(stream) if isinstance(stream, (list, tuple))
+                   else [stream])
+        if not streams:
+            raise ConfigurationError("Processor needs at least one stream")
+        num_threads = len(streams)
+        if num_threads > 1 and params.clusters > 1:
+            raise ConfigurationError("SMT does not support clustering yet")
         self.params = params
+        self.num_threads = num_threads
         # Hot-loop copies of per-cycle limits: attribute chains through
         # `params` show up in profiles at millions of cycles.
         self._commit_width = params.commit_width
@@ -126,8 +207,6 @@ class Processor:
         self.stats = stats if stats is not None else StatGroup()
         self.events = EventQueue()
         self.memory = MemoryHierarchy(params.memory, self.events, self.stats)
-        self.frontend = FrontEnd(params, stream, self.memory.l1i,
-                                 self.events, self.stats)
         self.fu_pool = FUPool(params.fu_counts, self.stats, params.clusters)
         self._fu_acquire = FUAcquire(self.fu_pool)
         # Fused C rename loop (pipeline kernel tier); clustered configs
@@ -135,21 +214,31 @@ class Processor:
         self._c_rename = None if self._clustered else rename_kernel()
         self.iq = build_iq(params, self.stats)
         self._cluster_load = [0] * params.clusters
-        self.rob = ReorderBuffer(params.rob_size, self.stats)
+        rob_size = (params.rob_size if num_threads == 1
+                    else max(8, params.rob_size // num_threads))
+        self.threads: List[_Thread] = []
+        for index, thread_stream in enumerate(streams):
+            if index:
+                thread_stream = _thread_stream(thread_stream, index,
+                                               index * DATA_SPACE_BYTES)
+            frontend = FrontEnd(params, thread_stream, self.memory.l1i,
+                                self.events, self.stats)
+            frontend.code_base = index * CODE_SPACE_BYTES
+            frontend.tracer = tracer
+            self.threads.append(_Thread(index, frontend,
+                                        ReorderBuffer(rob_size, self.stats)))
+        #: The only thread when single-threaded (the SMT scheduling
+        #: policies reduce to it), else None.
+        self._solo = self.threads[0] if num_threads == 1 else None
         self.lsq = LoadStoreQueue(params.effective_lsq_size, self.memory,
                                   self.events, self.stats,
                                   iq=self.iq, fu_pool=self.fu_pool,
                                   policy=params.mem_dep_policy)
-        # Give the segmented IQ access to the memory hierarchy for hit/miss
-        # predictor training (it checks L1 residence at dispatch).
-        if hasattr(self.iq, "attach_memory"):
-            self.iq.attach_memory(self.memory)
 
         # Observability (repro.obs): every component holds the same tracer
         # and guards each emission with `if tracer is not None`, so a
         # disabled tracer costs one attribute load per potential event.
         self.tracer = tracer
-        self.frontend.tracer = tracer
         self.lsq.tracer = tracer
         self.iq.attach_tracer(tracer)
         if metrics is not None and not hasattr(metrics, "sample"):
@@ -157,11 +246,11 @@ class Processor:
             metrics = MetricsCollector(metrics)
         self.metrics = metrics
 
-        self._last_writer: Dict[int, DynInst] = {}
         self.cycle = 0
         self.committed = 0
-        self._halt_committed = False
         self._last_commit_cycle = 0
+        #: Next global seq (SMT renumbers into dispatch order).
+        self._next_seq = 0
 
         #: Called with (inst, cycle) the moment each instruction commits;
         #: the validation oracle uses this to record the retired stream.
@@ -175,6 +264,10 @@ class Processor:
 
         self.stat_cycles = self.stats.counter("cycles")
         self.stat_committed = self.stats.counter("committed")
+        if num_threads > 1:
+            for thread in self.threads:
+                thread.stat_committed = self.stats.counter(
+                    f"thread{thread.index}.committed")
         self.stat_dispatch_stall_iq = self.stats.counter(
             "dispatch.stall_iq", "dispatch stalls: IQ full")
         self.stat_dispatch_stall_chain = self.stats.counter(
@@ -195,7 +288,11 @@ class Processor:
         self._event_driven = params.event_driven
         self._skip_enabled = False
         self._cycle_limit = 1 << 62
-        self._skip_stall = ""
+        self._skip_fetcher: Optional[_Thread] = None
+        self._skip_stalls: List = []
+        #: (cycle, {thread: stall counter}) of IQ admissions the skip
+        #: probe already refused in a cycle it then found active.
+        self._probe_refused = None
         self.stat_skip_cycles = self.stats.counter(
             "skip.cycles_skipped",
             "quiescent cycles fast-forwarded without stepping")
@@ -203,9 +300,38 @@ class Processor:
             "skip.windows", "contiguous quiescent stretches skipped")
         self._skip_replay = _SkipReplay(self)
 
+    # ----------------------------------------------------------- threads --
+    @property
+    def frontend(self) -> FrontEnd:
+        """Thread 0's front end (the only one when single-threaded)."""
+        return self.threads[0].frontend
+
+    @property
+    def rob(self) -> ReorderBuffer:
+        """Thread 0's reorder buffer; assignable (negative tests swap in a
+        sabotaged ROB after construction)."""
+        return self.threads[0].rob
+
+    @rob.setter
+    def rob(self, rob: ReorderBuffer) -> None:
+        self.threads[0].rob = rob
+
+    @property
+    def rob_occupancy(self) -> int:
+        """Buffered instructions across every thread's ROB."""
+        return sum(len(thread.rob) for thread in self.threads)
+
+    @property
+    def committed_per_thread(self) -> List[int]:
+        return [thread.committed for thread in self.threads]
+
+    def thread_ipc(self, thread: int) -> float:
+        return (self.threads[thread].committed / self.cycle
+                if self.cycle else 0.0)
+
     # ------------------------------------------------------------ warmup --
-    def warm_code(self, program) -> None:
-        """Pre-install the program's code footprint in L1I and L2.
+    def warm_code(self, program, thread: int = 0) -> None:
+        """Pre-install a thread's code footprint in L1I and L2.
 
         The paper simulates 100 M-instruction samples taken 20 B
         instructions into execution, i.e. with warm instruction caches; our
@@ -214,20 +340,22 @@ class Processor:
         """
         from repro.frontend.fetch import INST_BYTES
         line = self.params.memory.l1i.line_bytes
-        for byte_addr in range(0, len(program) * INST_BYTES, line):
+        base = thread * CODE_SPACE_BYTES
+        for byte_addr in range(base, base + len(program) * INST_BYTES, line):
             self.memory.l1i.warm_line(byte_addr)
             self.memory.l2.warm_line(byte_addr)
 
-    def warm_data(self, program) -> None:
-        """Pre-install the program's data segments in L2 (not L1D).
+    def warm_data(self, program, thread: int = 0) -> None:
+        """Pre-install a thread's data segments in L2 (not L1D).
 
         Useful for modelling steady-state behaviour of kernels whose
         working set is L2-resident.
         """
         line = self.params.memory.l2.line_bytes
+        base = thread * DATA_SPACE_BYTES
         for segment in program.segments.values():
-            for byte_addr in range(segment.base, segment.base + segment.bytes,
-                                   line):
+            start = base + segment.base
+            for byte_addr in range(start, start + segment.bytes, line):
                 self.memory.l2.warm_line(byte_addr)
 
     def load_warm_state(self, warm: Dict[str, dict]) -> None:
@@ -249,8 +377,13 @@ class Processor:
     # --------------------------------------------------------------- run --
     @property
     def done(self) -> bool:
-        return (self._halt_committed
-                or (self.frontend.drained and len(self.rob) == 0))
+        solo = self._solo
+        if solo is not None:    # checked every cycle: skip the thread loop
+            return solo.done
+        for thread in self.threads:
+            if not thread.done:
+                return False
+        return True
 
     def run(self, max_cycles: Optional[int] = None, *,
             max_committed: Optional[int] = None,
@@ -309,7 +442,9 @@ class Processor:
         if self._skip_enabled:
             wake = self._next_active_cycle(now)
             while wake > now:
-                self._apply_skip(now, wake - now)
+                # O(1) replay of the per-cycle accounting of [now, wake).
+                self._skip_replay.replay(now, wake - now, self._skip_fetcher,
+                                         self._skip_stalls)
                 self.cycle = wake
                 if wake >= self._cycle_limit:
                     return      # budget exhausted mid-stretch
@@ -336,8 +471,13 @@ class Processor:
         iq.last_commit_cycle = self._last_commit_cycle
         iq.cycle(now)
         self._dispatch(now)
-        self.frontend.cycle(now)
-        self.rob.stat_occupancy.sample(len(self.rob))
+        solo = self._solo
+        fetcher = solo or self._fetcher()
+        if fetcher is not None:
+            fetcher.frontend.cycle(now)
+        rob = self.threads[0].rob
+        rob.stat_occupancy.sample(len(rob) if solo is not None
+                                  else self.rob_occupancy)
         metrics = self.metrics
         if metrics is not None and now >= metrics.next_cycle:
             metrics.sample(self, now)
@@ -348,12 +488,21 @@ class Processor:
         if now - self._last_commit_cycle > self._watchdog:
             raise DeadlockError(
                 f"no commit for {self.params.watchdog_cycles} cycles at "
-                f"cycle {now}: rob={len(self.rob)} iq={self.iq.occupancy} "
-                f"head={self.rob.head()!r}")
+                f"cycle {now}: rob={self.rob_occupancy} "
+                f"iq={self.iq.occupancy} head={self.rob.head()!r}")
 
     @property
     def ipc(self) -> float:
         return self.committed / self.cycle if self.cycle else 0.0
+
+    def _fetcher(self) -> Optional[_Thread]:
+        """ICOUNT: the unfinished thread with the fewest ROB entries."""
+        best = None
+        for thread in self.threads:
+            if not thread.done and (best is None
+                                    or len(thread.rob) < len(best.rob)):
+                best = thread
+        return best
 
     # ------------------------------------------------------ event-driven --
     def _next_active_cycle(self, now: int) -> int:
@@ -365,17 +514,19 @@ class Processor:
         dispatch probe runs last because ``can_dispatch`` has side effects
         (stall counters) and must be called exactly once per blocked cycle.
         """
-        self._skip_stall = ""
         ev = self.events.next_event_cycle()
         if 0 <= ev <= now:
             return now          # completions / fills land this cycle
         wake = ev if ev > now else NEVER
 
-        head = self.rob.head()
-        if head is not None and head.completed_cycle >= 0:
-            return now          # commit retires at least one entry
+        threads = self.threads
+        for thread in threads:
+            head = thread.rob.head()
+            if head is not None and head.completed_cycle >= 0:
+                return now      # commit retires at least one entry
 
-        if self.lsq.has_candidates():
+        lsq = self.lsq
+        if lsq.has_candidates():
             return now          # a memory access may go to the cache
 
         iq = self.iq
@@ -402,68 +553,97 @@ class Processor:
         if deadline < wake:
             wake = deadline
 
-        fe = self.frontend
-        fe_wake = fe.next_event_cycle(now)
+        # Only the ICOUNT choice fetches, and it cannot change while every
+        # ROB occupancy is frozen.
+        fetcher = self._skip_fetcher = self._solo or self._fetcher()
+        fe_wake = fetcher.frontend.next_event_cycle(now)
         if fe_wake <= now:
             return now
         if fe_wake < wake:
             wake = fe_wake
 
-        # Dispatch: probe once, remember why it is blocked so the stall
-        # counters can be replayed for the whole stretch.
-        if now < self.lsq.violation_flush_until:
-            if self.lsq.violation_flush_until < wake:
-                wake = self.lsq.violation_flush_until
+        # Dispatch: probe each thread in the stepped loop's order and
+        # remember why it is blocked so the stall counters can be
+        # replayed for the whole stretch.
+        stalls = self._skip_stalls = []
+        if now < lsq.violation_flush_until:
+            if lsq.violation_flush_until < wake:
+                wake = lsq.violation_flush_until
         else:
-            inst = fe.peek_dispatchable(now)
-            rob = self.rob
-            lsq = self.lsq
-            if inst is None:
-                if fe._pipeline and fe._pipeline[0][0] < wake:
-                    wake = fe._pipeline[0][0]
-            elif len(rob._entries) >= rob.size:     # has_space, inlined
-                self._skip_stall = "rob"
-            elif inst.op_class in (OpClass.HALT, OpClass.NOP,
-                                   OpClass.JUMP):
-                return now      # would dispatch (bypasses the IQ)
-            elif inst.is_mem and len(lsq._order) >= lsq.size:
-                self._skip_stall = "lsq"
-            else:
-                prev_iq_now = getattr(iq, "now", None)
-                if prev_iq_now is not None:
-                    iq.now = now
-                admitted = iq.can_dispatch(inst)
-                if prev_iq_now is not None:
-                    iq.now = prev_iq_now
-                if admitted:
-                    return now
-                if getattr(iq, "blocked_on_chain", False):
-                    self._skip_stall = "chain"
+            order = (threads if self._solo is not None
+                     else sorted(threads, key=_rob_occupancy))
+            for thread in order:
+                fe = thread.frontend
+                inst = fe.peek_dispatchable(now)
+                rob = thread.rob
+                if inst is None:
+                    if fe._pipeline and fe._pipeline[0][0] < wake:
+                        wake = fe._pipeline[0][0]
+                elif len(rob._entries) >= rob.size:   # has_space, inlined
+                    stalls.append((thread, "rob"))
+                elif inst.op_class in _BYPASS_IQ:
+                    # Would dispatch (bypasses the IQ).
+                    return self._active_after_refusals(now, stalls)
+                elif inst.is_mem and len(lsq._order) >= lsq.size:
+                    stalls.append((thread, "lsq"))
                 else:
-                    self._skip_stall = "iq"
-                bd_wake = iq.blocked_dispatch_wake(now)
-                if bd_wake < wake:
-                    wake = bd_wake
+                    prev_iq_now = getattr(iq, "now", None)
+                    if prev_iq_now is not None:
+                        iq.now = now
+                    admitted = iq.can_dispatch(inst)
+                    if prev_iq_now is not None:
+                        iq.now = prev_iq_now
+                    if admitted:
+                        return self._active_after_refusals(now, stalls)
+                    stalls.append((thread, "chain"
+                                   if getattr(iq, "blocked_on_chain", False)
+                                   else "iq"))
+                    bd_wake = iq.blocked_dispatch_wake(now)
+                    if bd_wake < wake:
+                        wake = bd_wake
 
         if self._cycle_limit < wake:
             wake = self._cycle_limit
         return wake
 
-    def _apply_skip(self, now: int, count: int) -> None:
-        """Replay the per-cycle accounting of ``count`` quiescent cycles
-        [now, now+count) in O(1) (fused into one replay object)."""
-        self._skip_replay.replay(now, count, self._skip_stall)
+    def _active_after_refusals(self, now: int, stalls: List) -> int:
+        """The probe found dispatch work at ``now`` after refusing some
+        threads' IQ admission (SMT only).  Those refusals already ran
+        their side effects for this cycle, so the stepped dispatch loop
+        must count them instead of asking the IQ again."""
+        refused = {thread: (self.stat_dispatch_stall_chain
+                            if stall == "chain"
+                            else self.stat_dispatch_stall_iq)
+                   for thread, stall in stalls if stall in ("iq", "chain")}
+        if refused:
+            self._probe_refused = (now, refused)
+        return now
 
     # ------------------------------------------------------------ commit --
     def _commit(self, now: int) -> None:
-        rob_entries = self.rob._entries
-        if not rob_entries:
+        solo = self._solo
+        if solo is not None:
+            self._commit_thread(solo, now, self._commit_width)
             return
+        # Shared commit width; the start thread rotates every cycle.
+        threads = self.threads
+        count = len(threads)
+        budget = self._commit_width
+        start = now % count
+        for offset in range(count):
+            if budget <= 0:
+                break
+            budget -= self._commit_thread(threads[(start + offset) % count],
+                                          now, budget)
+
+    def _commit_thread(self, thread: _Thread, now: int, width: int) -> int:
+        rob_entries = thread.rob._entries
+        if not rob_entries:
+            return 0
         lsq = self.lsq
         listeners = self.commit_listeners
         tracer = self.tracer
         committed = 0
-        width = self._commit_width
         while committed < width and rob_entries:
             inst = rob_entries[0]
             completed = inst.completed_cycle
@@ -474,7 +654,7 @@ class Processor:
             if inst.is_mem:
                 lsq.commit(inst, now)
             if inst.static.is_halt:
-                self._halt_committed = True
+                thread.halted = True
             committed += 1
             if tracer is not None:
                 tracer.emit(TraceEvent(cycle=now, kind="commit",
@@ -484,7 +664,11 @@ class Processor:
                 listener(inst, now)
         if committed:
             self.committed += committed
+            thread.committed += committed
+            if thread.stat_committed is not None:
+                thread.stat_committed.inc(committed)
             self._last_commit_cycle = now
+        return committed
 
     # ------------------------------------------------------------- issue --
     def _issue(self, now: int) -> None:
@@ -498,7 +682,6 @@ class Processor:
         clustered = self._clustered
         events = self.events
         lsq = self.lsq
-        # Inlined _start_execution (one call per issued instruction).
         for entry in issued:
             if checker is not None:
                 checker.check_issue(entry, now)
@@ -540,24 +723,46 @@ class Processor:
                                        seq=inst.seq, pc=inst.pc,
                                        op=inst.static.opcode.value,
                                        info="branch_mispredict"))
-            self.frontend.branch_resolved(inst, cycle)
+            self.threads[inst.thread].frontend.branch_resolved(inst, cycle)
 
     # ---------------------------------------------------------- dispatch --
     def _dispatch(self, now: int) -> None:
-        """Dispatch up to ``dispatch_width`` decoded instructions.
+        """Dispatch up to ``dispatch_width`` decoded instructions, sharing
+        the width least-occupied thread first under SMT."""
+        if now < self.lsq.violation_flush_until:
+            return      # squash penalty after a memory-order violation
+        width = self._dispatch_width
+        solo = self._solo
+        if solo is not None:
+            dispatched = self._dispatch_thread(solo, now, width)
+        else:
+            refused = self._probe_refused
+            refused = refused[1] if refused and refused[0] == now else {}
+            dispatched = 0
+            for thread in sorted(self.threads, key=_rob_occupancy):
+                if dispatched >= width:
+                    break
+                if thread in refused:
+                    refused[thread].inc()
+                    continue
+                dispatched += self._dispatch_thread(thread, now,
+                                                    width - dispatched)
+        if dispatched:
+            self.stat_dispatched.inc(dispatched)
+
+    def _dispatch_thread(self, thread: _Thread, now: int, width: int) -> int:
+        """Dispatch up to ``width`` of one thread's decoded instructions.
 
         One flat loop (rename and per-instruction admission checks
         inlined): this runs for every instruction the machine executes,
         so each helper call and repeated attribute chain costs real
         simulator throughput.
         """
-        lsq = self.lsq
-        if now < lsq.violation_flush_until:
-            return      # squash penalty after a memory-order violation
-        pipeline = self.frontend._pipeline
+        pipeline = thread.frontend._pipeline
         if not pipeline or pipeline[0][0] > now:
-            return
-        rob = self.rob
+            return 0
+        lsq = self.lsq
+        rob = thread.rob
         rob_entries = rob._entries
         rob_size = rob.size
         # Admission is inlined only for the stock ROB; a subclass (e.g.
@@ -567,9 +772,9 @@ class Processor:
         tracer = self.tracer
         clustered = self._clustered
         c_rename = self._c_rename
-        last_writer = self._last_writer
+        last_writer = thread.last_writer
+        renumber = self._solo is None
         dispatched = 0
-        width = self._dispatch_width
         while dispatched < width and pipeline and pipeline[0][0] <= now:
             inst = pipeline[0][1]
             if len(rob_entries) >= rob_size:
@@ -578,11 +783,14 @@ class Processor:
                 break
             op_class = inst.op_class
 
-            if op_class in (OpClass.HALT, OpClass.NOP, OpClass.JUMP):
+            if op_class in _BYPASS_IQ:
                 # No register work: completes at dispatch.  A mispredicted
                 # jump (BTB miss) was already charged by stalling fetch
                 # until the decode stage could compute the target; release
                 # fetch now.
+                if renumber:
+                    inst.seq = self._next_seq
+                    self._next_seq += 1
                 if plain_rob:
                     inst.rob_index = len(rob_entries)
                     rob_entries.append(inst)
@@ -595,7 +803,7 @@ class Processor:
                         cycle=now, kind="dispatch", seq=inst.seq, pc=inst.pc,
                         op=inst.static.opcode.value, info="bypass_iq"))
                 if inst.mispredicted and op_class is OpClass.JUMP:
-                    self.frontend.branch_resolved(inst, now)
+                    thread.frontend.branch_resolved(inst, now)
                 pipeline.popleft()
                 dispatched += 1
                 continue
@@ -611,10 +819,13 @@ class Processor:
                     self.stat_dispatch_stall_iq.inc()
                 break
 
+            if renumber:
+                inst.seq = self._next_seq
+                self._next_seq += 1
             if clustered:
-                inst.cluster = self._steer_cluster(inst, now)
+                inst.cluster = self._steer_cluster(inst, now, last_writer)
                 self._cluster_load[inst.cluster] += 1
-            # Rename (inlined _operand_for over the IQ-relevant sources).
+            # Rename over the IQ-relevant sources.
             srcs = inst.srcs
             if c_rename is not None:
                 operands = c_rename(Operand, last_writer, srcs,
@@ -643,7 +854,8 @@ class Processor:
                 rob.dispatch(inst)
             inst.dispatched_cycle = now
             if is_mem:
-                data_ready, data_producer = self._store_data_operand(inst)
+                data_ready, data_producer = _store_data_operand(last_writer,
+                                                                inst)
                 lsq.dispatch(inst, data_ready, data_producer)
             entry = iq.dispatch(inst, operands, now)
             if tracer is not None:
@@ -659,10 +871,10 @@ class Processor:
                 last_writer[dest] = inst
             pipeline.popleft()
             dispatched += 1
-        if dispatched:
-            self.stat_dispatched.inc(dispatched)
+        return dispatched
 
-    def _steer_cluster(self, inst: DynInst, now: int) -> int:
+    def _steer_cluster(self, inst: DynInst, now: int,
+                       last_writer: Dict[int, DynInst]) -> int:
         """Pick an execution cluster (section-7 horizontal clustering)."""
         steering = self.params.cluster_steering
         if steering == "chain" and hasattr(self.iq, "preferred_cluster"):
@@ -671,35 +883,19 @@ class Processor:
                 return preferred
         if steering in ("chain", "dependence"):
             for reg in (inst.srcs[:1] if inst.is_mem else inst.srcs):
-                producer = self._last_writer.get(reg)
+                producer = last_writer.get(reg)
                 if producer is not None and producer.value_ready_cycle is None:
                     return producer.cluster
         return min(range(self.params.clusters),
                    key=lambda c: self._cluster_load[c])
 
-    def _operand_for(self, reg: int,
-                     consumer: Optional[DynInst] = None) -> Operand:
-        if reg == 0:
-            return Operand(reg=reg, ready_cycle=0)
-        producer = self._last_writer.get(reg)
-        if producer is None:
-            return Operand(reg=reg, ready_cycle=0)
-        penalty = 0
-        if (self._clustered and consumer is not None
-                and producer.cluster != consumer.cluster
-                and producer.completed_cycle < 0):
-            penalty = self.params.cluster_bypass_penalty
-            self.stat_cross_cluster.inc()
-        ready = producer.value_ready_cycle
-        if ready is not None:
-            ready += penalty
-            penalty = 0     # already folded in; no late wakeup will come
-        return Operand(reg=reg, producer=producer, ready_cycle=ready,
-                       penalty=penalty)
 
-    def _store_data_operand(self, inst: DynInst):
-        if not inst.is_store:
-            return None, None
-        data_reg = inst.srcs[1]
-        operand = self._operand_for(data_reg)
-        return operand.ready_cycle, operand.producer
+def _store_data_operand(last_writer: Dict[int, DynInst], inst: DynInst):
+    """(ready cycle, producer) of a store's data register."""
+    if not inst.is_store:
+        return None, None
+    reg = inst.srcs[1]
+    producer = last_writer.get(reg) if reg != 0 else None
+    if producer is None:
+        return 0, None
+    return producer.value_ready_cycle, producer

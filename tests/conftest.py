@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.common import ProcessorParams, StatGroup, ideal_iq_params
 
 
@@ -14,7 +15,9 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 from repro.isa import F, ProgramBuilder, R, execute
+from repro.obs import RingBufferTracer, dump_jsonl
 from repro.pipeline import Processor
+from repro.workloads import WORKLOADS
 
 
 def daxpy_program(n=64, stride=1, name="daxpy"):
@@ -70,6 +73,41 @@ def run_program(program, params=None, max_cycles=1_000_000,
     processor = Processor(params, stream)
     processor.run(max_cycles=max_cycles)
     return processor
+
+
+def traced_run(params, workload, max_instructions):
+    """Run one analog through :func:`repro.api.run`, or co-schedule the
+    analogs of an ``"a+b"`` name as SMT threads (``max_instructions``
+    each; code warmed, data warmed where the analog asks for it), under
+    an unbounded tracer.  Returns ``(cycles, instructions, stats,
+    jsonl)`` so mode/backend comparisons treat both alike."""
+    tracer = RingBufferTracer()
+    if "+" in workload:
+        names = workload.split("+")
+        programs = [WORKLOADS[name].build(1) for name in names]
+        processor = Processor(
+            params, [execute(program, max_instructions=max_instructions)
+                     for program in programs], tracer=tracer)
+        for thread, (name, program) in enumerate(zip(names, programs)):
+            processor.warm_code(program, thread=thread)
+            if WORKLOADS[name].warm_data:
+                processor.warm_data(program, thread=thread)
+        processor.run()
+        outcome = (processor.cycle, processor.committed,
+                   processor.stats.as_dict())
+    else:
+        result = api.run(params, workload, max_instructions=max_instructions,
+                         trace=tracer)
+        outcome = (result.cycles, result.instructions, result.stats)
+    return outcome + (dump_jsonl(tracer.events),)
+
+
+def without_skip_counters(stats):
+    """A stats dict minus the skip.* counters: they describe the skipping
+    mechanism itself and are the one permitted difference between a
+    skipping run and a plain-stepped one."""
+    return {key: value for key, value in stats.items()
+            if not key.startswith("skip.")}
 
 
 @pytest.fixture

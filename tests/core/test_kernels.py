@@ -15,11 +15,11 @@ fallback is the only backend and there is nothing to compare.
 
 import pytest
 
-from repro import api
 from repro.core.registry import registered_models
 from repro.core.segmented import kernels
-from repro.obs import RingBufferTracer, dump_jsonl
 from repro.workloads import WORKLOADS
+
+from tests.conftest import traced_run
 
 MODELS = registered_models()
 
@@ -43,17 +43,16 @@ requires_compiled = pytest.mark.skipif(
            "(python -m repro.core.segmented.build)")
 
 
-def _run(kind, workload, backend):
-    """One conformance-config run under a forced kernel backend."""
+def _run(params, workload, backend):
+    """One traced run under a forced kernel backend: (cycles,
+    instructions, stats, jsonl).  ``"a+b"`` co-schedules two analogs as
+    SMT threads (600 instructions each)."""
     kernels.set_backend(backend)
     try:
-        params = MODELS[kind].conformance_config()
-        tracer = RingBufferTracer()
-        result = api.run(params, workload, max_instructions=1200,
-                         trace=tracer)
+        return traced_run(params, workload,
+                          600 if "+" in workload else 1200)
     finally:
         kernels.set_backend(None)
-    return result, dump_jsonl(tracer.events)
 
 
 class TestBackendSelection:
@@ -97,56 +96,39 @@ class TestBackendSelection:
 def test_segmented_backend_parity(workload):
     """The tentpole contract: engine backends are indistinguishable on
     the segmented design across all eight benchmarks."""
-    py_result, py_trace = _run("segmented", workload, "py")
-    c_result, c_trace = _run("segmented", workload, "compiled")
-    assert c_result.cycles == py_result.cycles
-    assert c_result.instructions == py_result.instructions
-    assert c_result.stats == py_result.stats
-    assert c_trace == py_trace
+    params = MODELS["segmented"].conformance_config()
+    assert (_run(params, workload, "compiled")
+            == _run(params, workload, "py"))
 
 
 @requires_compiled
-@pytest.mark.parametrize("kind", sorted(MODELS))
-def test_all_models_backend_parity(kind):
-    """Every registered model runs bit-identically under both backends
-    (non-segmented models exercise the shared compiled stat/event
-    primitives rather than the IQ engine)."""
-    py_result, py_trace = _run(kind, "gcc", "py")
-    c_result, c_trace = _run(kind, "gcc", "compiled")
-    assert c_result.cycles == py_result.cycles
-    assert c_result.stats == py_result.stats
-    assert c_trace == py_trace
+@pytest.mark.parametrize("kind,workload", [
+    pytest.param(kind, workload,
+                 id=kind if workload == "gcc" else f"{kind}-{workload}")
+    for workload in ("gcc", "gcc+swim") for kind in sorted(MODELS)])
+def test_all_models_backend_parity(kind, workload):
+    """Every registered model runs bit-identically under both backends,
+    single-threaded and with two SMT threads sharing the IQ (one rename
+    map per thread through the fused rename loop).  Non-segmented models
+    exercise the shared compiled stat/event primitives rather than the
+    IQ engine."""
+    params = MODELS[kind].conformance_config()
+    assert (_run(params, workload, "compiled")
+            == _run(params, workload, "py"))
 
 
 # ------------------------------------------------------- pipeline tier --
-def _run_dense(workload, backend):
-    """One dense seg-512 run (the pipeline-kernel design point) under a
-    forced backend: the fused rename loop, the C admission path, and
-    the FU-heap engine are all active on ``compiled``."""
-    from repro.harness import configs
-    kernels.set_backend(backend)
-    try:
-        params = configs.segmented(512, 128, "comb")
-        tracer = RingBufferTracer()
-        result = api.run(params, workload, config_label="seg-512-128ch",
-                         max_instructions=1200, trace=tracer)
-    finally:
-        kernels.set_backend(None)
-    return result, dump_jsonl(tracer.events)
-
-
 @requires_compiled
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS) + ["swim+twolf"])
 def test_pipeline_tier_parity(workload):
-    """The PR-10 contract: with the pipeline tier kernelized (dispatch
-    rename, IQ admission, FU heaps), the dense design point stays
-    bit-identical across backends on all eight benchmarks."""
-    py_result, py_trace = _run_dense(workload, "py")
-    c_result, c_trace = _run_dense(workload, "compiled")
-    assert c_result.cycles == py_result.cycles
-    assert c_result.instructions == py_result.instructions
-    assert c_result.stats == py_result.stats
-    assert c_trace == py_trace
+    """The pipeline-tier contract: with dispatch rename, IQ admission and
+    the FU heaps kernelized, the dense seg-512 design point stays
+    bit-identical across backends on all eight benchmarks and on a
+    two-thread SMT pairing."""
+    from repro.harness import configs
+    params = configs.segmented(512, 128, "comb")
+    assert (_run(params, workload, "compiled")
+            == _run(params, workload, "py"))
 
 
 class _Counter:

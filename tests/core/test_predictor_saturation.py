@@ -23,46 +23,46 @@ class TestHMPSaturation:
     def test_counter_clamps_at_fifteen(self):
         hmp = make_hmp()
         for i in range(100):
-            hmp.train(pc=8, seq=i, level="l1")
+            hmp.train(pc=8, key=i, level="l1")
         assert hmp._counters[hmp._index(8)] == 15
 
     def test_predicts_hit_strictly_above_thirteen(self):
         hmp = make_hmp()
         index = hmp._index(8)
         hmp._counters[index] = 13
-        assert not hmp.predict_hit(pc=8, seq=0)   # 13 is not enough
+        assert not hmp.predict_hit(pc=8, key=0)   # 13 is not enough
         hmp._counters[index] = 14
-        assert hmp.predict_hit(pc=8, seq=1)
+        assert hmp.predict_hit(pc=8, key=1)
         hmp._counters[index] = 15
-        assert hmp.predict_hit(pc=8, seq=2)
+        assert hmp.predict_hit(pc=8, key=2)
 
     def test_miss_resets_saturated_counter_to_zero(self):
         hmp = make_hmp()
         for i in range(50):
-            hmp.train(pc=8, seq=i, level="l1")
-        hmp.train(pc=8, seq=60, level="mem")
+            hmp.train(pc=8, key=i, level="l1")
+        hmp.train(pc=8, key=60, level="mem")
         assert hmp._counters[hmp._index(8)] == 0
         # Confidence must be re-earned from scratch: 14 hits again.
         for i in range(13):
-            hmp.train(pc=8, seq=70 + i, level="l1")
-        assert not hmp.predict_hit(pc=8, seq=90)
-        hmp.train(pc=8, seq=91, level="l1")
-        assert hmp.predict_hit(pc=8, seq=92)
+            hmp.train(pc=8, key=70 + i, level="l1")
+        assert not hmp.predict_hit(pc=8, key=90)
+        hmp.train(pc=8, key=91, level="l1")
+        assert hmp.predict_hit(pc=8, key=92)
 
     def test_custom_counter_width_changes_clamp(self):
         hmp = make_hmp(counter_bits=2, confidence=2)
         for i in range(50):
-            hmp.train(pc=8, seq=i, level="l1")
+            hmp.train(pc=8, key=i, level="l1")
         assert hmp._counters[hmp._index(8)] == 3
-        assert hmp.predict_hit(pc=8, seq=60)      # 3 > 2
+        assert hmp.predict_hit(pc=8, key=60)      # 3 > 2
 
     def test_table_aliasing_shares_counters(self):
         hmp = make_hmp(table_size=64)
         for i in range(20):
-            hmp.train(pc=4, seq=i, level="l1")
+            hmp.train(pc=4, key=i, level="l1")
         # pc 68 aliases pc 4 (68 % 64) and inherits its confidence.
-        assert hmp.predict_hit(pc=68, seq=50)
-        assert not hmp.predict_hit(pc=5, seq=51)
+        assert hmp.predict_hit(pc=68, key=50)
+        assert not hmp.predict_hit(pc=5, key=51)
 
 
 class TestLRPSaturation:

@@ -13,63 +13,63 @@ class TestHitMissPredictor:
 
     def test_cold_predicts_miss(self):
         hmp = self.make()
-        assert not hmp.predict_hit(pc=4, seq=0)
+        assert not hmp.predict_hit(pc=4, key=0)
 
     def test_needs_fourteen_hits_for_confidence(self):
         # 4-bit counter, predict hit only when counter > 13.
         hmp = self.make()
         for i in range(13):
-            hmp.train(pc=4, seq=i, level="l1")
-        assert not hmp.predict_hit(pc=4, seq=100)
-        hmp.train(pc=4, seq=101, level="l1")
-        assert hmp.predict_hit(pc=4, seq=102)
+            hmp.train(pc=4, key=i, level="l1")
+        assert not hmp.predict_hit(pc=4, key=100)
+        hmp.train(pc=4, key=101, level="l1")
+        assert hmp.predict_hit(pc=4, key=102)
 
     def test_single_miss_clears_confidence(self):
         hmp = self.make()
         for i in range(20):
-            hmp.train(pc=4, seq=i, level="l1")
-        assert hmp.predict_hit(pc=4, seq=50)
-        hmp.train(pc=4, seq=51, level="mem")
-        assert not hmp.predict_hit(pc=4, seq=52)
+            hmp.train(pc=4, key=i, level="l1")
+        assert hmp.predict_hit(pc=4, key=50)
+        hmp.train(pc=4, key=51, level="mem")
+        assert not hmp.predict_hit(pc=4, key=52)
 
     def test_delayed_hit_trains_as_miss(self):
         hmp = self.make()
         for i in range(20):
-            hmp.train(pc=4, seq=i, level="l1")
-        hmp.train(pc=4, seq=30, level="delayed")
-        assert not hmp.predict_hit(pc=4, seq=31)
+            hmp.train(pc=4, key=i, level="l1")
+        hmp.train(pc=4, key=30, level="delayed")
+        assert not hmp.predict_hit(pc=4, key=31)
 
     def test_forward_trains_as_hit(self):
         hmp = self.make()
         for i in range(14):
-            hmp.train(pc=4, seq=i, level="forward")
-        assert hmp.predict_hit(pc=4, seq=20)
+            hmp.train(pc=4, key=i, level="forward")
+        assert hmp.predict_hit(pc=4, key=20)
 
     def test_counter_saturates(self):
         hmp = self.make()
         for i in range(100):
-            hmp.train(pc=4, seq=i, level="l1")
-        hmp.train(pc=4, seq=200, level="l2")   # clears
+            hmp.train(pc=4, key=i, level="l1")
+        hmp.train(pc=4, key=200, level="l2")   # clears
         # One more hit should not restore confidence.
-        hmp.train(pc=4, seq=201, level="l1")
-        assert not hmp.predict_hit(pc=4, seq=202)
+        hmp.train(pc=4, key=201, level="l1")
+        assert not hmp.predict_hit(pc=4, key=202)
 
     def test_accuracy_and_coverage_stats(self):
         hmp = self.make()
         for i in range(14):
-            hmp.train(pc=4, seq=i, level="l1")
+            hmp.train(pc=4, key=i, level="l1")
         for i in range(10):
-            hmp.predict_hit(pc=4, seq=100 + i)
-            hmp.train(pc=4, seq=100 + i, level="l1")
+            hmp.predict_hit(pc=4, key=100 + i)
+            hmp.train(pc=4, key=100 + i, level="l1")
         assert hmp.hit_prediction_accuracy == 1.0
         assert 0 < hmp.hit_coverage <= 1.0
 
     def test_wrong_hit_prediction_counted(self):
         hmp = self.make()
         for i in range(14):
-            hmp.train(pc=4, seq=i, level="l1")
-        hmp.predict_hit(pc=4, seq=100)
-        hmp.train(pc=4, seq=100, level="mem")
+            hmp.train(pc=4, key=i, level="l1")
+        hmp.predict_hit(pc=4, key=100)
+        hmp.train(pc=4, key=100, level="mem")
         assert hmp.stat_wrong_hits.value == 1
         assert hmp.hit_prediction_accuracy == 0.0
 
@@ -77,7 +77,7 @@ class TestHitMissPredictor:
     def test_counter_never_leaves_range(self, outcomes):
         hmp = self.make()
         for i, hit in enumerate(outcomes):
-            hmp.train(pc=8, seq=i, level="l1" if hit else "mem")
+            hmp.train(pc=8, key=i, level="l1" if hit else "mem")
         counter = hmp._counters.get(hmp._index(8), 0)
         assert 0 <= counter <= hmp.max_count
 
