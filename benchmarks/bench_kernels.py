@@ -13,10 +13,8 @@ the full pipeline, for every available backend:
 * ``pop_eligible`` — batched oldest-first selection draining one packed
   512-entry segment at issue width.
 
-Pipeline-tier ops (``repro.pipeline.kernels``) ride along:
+The dispatch-side kernel rides along:
 
-* ``fu_ops`` — the per-issue FU-heap claims/probes plus the per-cycle
-  cache-port and next-event scans.
 * ``rename`` — the dispatch rename loop (fused C kernel on the
   compiled backend, the Processor twin on py).
 
@@ -160,53 +158,12 @@ def bench_pop(rounds, entries=512, limit=8):
             "seconds": best, "us_per_call": 1e6 * best / calls}
 
 
-# -------------------------------------------------------- pipeline tier --
-class MicroCounter:
-    """Minimal stat counter honouring the ``inc`` protocol."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
-
-
-def bench_fu(rounds, cycles=4096):
-    """Pipeline-tier engine: FU-heap claims/probes the way _issue makes
-    them, plus the per-cycle cache-port and next-event scans."""
-    from repro.pipeline import kernels as pipeline_kernels
-    best = None
-    calls = 0
-    for _ in range(rounds):
-        eng = pipeline_kernels.make_engine(
-            4, 2, [8, 4, 2, 2], 3,
-            [MicroCounter() for _ in range(4)], MicroCounter())
-        calls = 0
-        t0 = time.perf_counter()
-        for now in range(cycles):
-            for ci in range(4):
-                eng.fu_can_accept(ci, now & 1, now)
-                eng.fu_accept(ci, now & 1, 1 + (ci & 1), now)
-                calls += 2
-            eng.fu_cache_port(now)
-            eng.fu_next_event(now)
-            calls += 2
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
-    return {"op": "fu_ops", "calls": calls,
-            "shape": f"4 classes x 2 clusters, {cycles} cycles",
-            "seconds": best, "us_per_call": 1e6 * best / calls}
-
-
+# -------------------------------------------------------------- rename --
 def bench_rename(rounds, insts=4096):
     """The dispatch rename loop over a mixed ready/in-flight register
     file: the fused C kernel on the compiled backend, the Processor
     twin on py (same objects built either way)."""
     from repro.core.iq_base import Operand
-    from repro.pipeline.kernels import rename_kernel
 
     class Producer:
         __slots__ = ("value_ready_cycle",)
@@ -217,7 +174,7 @@ def bench_rename(rounds, insts=4096):
     last_writer = {reg: Producer(None if reg % 3 == 0 else reg)
                    for reg in range(1, 32)}
     src_sets = [(1 + i % 31, 1 + (i * 7) % 31) for i in range(insts)]
-    fused = rename_kernel()
+    fused = kernels.rename_kernel()
     best = None
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -262,8 +219,7 @@ def run(rounds=5):
         kernels.set_backend(name)
         try:
             results[name] = [bench_promote(rounds), bench_notify(rounds),
-                             bench_pop(rounds), bench_fu(rounds),
-                             bench_rename(rounds)]
+                             bench_pop(rounds), bench_rename(rounds)]
         finally:
             kernels.set_backend(None)
     return results

@@ -68,6 +68,5 @@ from repro.common._ckload import compiled_kernels as _compiled_kernels
 
 _ck = _compiled_kernels()
 if _ck is not None:
-    # getattr: extensions built before these types existed stay loadable.
-    EventQueue = getattr(_ck, "EventQueue", EventQueue)
+    EventQueue = _ck.EventQueue
 del _ck, _compiled_kernels

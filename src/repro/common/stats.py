@@ -73,15 +73,17 @@ class Distribution:
         if value > self._maximum:
             self._maximum = value
 
+    # Sampled extrema are floats whatever was sampled, as in the compiled
+    # twin (which stores doubles), so reports match byte for byte.
     @property
     def minimum(self) -> float:
         """Smallest observed sample; 0 when nothing was sampled."""
-        return self._minimum if self.count else 0
+        return float(self._minimum) if self.count else 0
 
     @property
     def maximum(self) -> float:
         """Largest observed sample; 0 when nothing was sampled."""
-        return self._maximum if self.count else 0
+        return float(self._maximum) if self.count else 0
 
     @property
     def mean(self) -> float:
@@ -224,7 +226,6 @@ from repro.common._ckload import compiled_kernels as _compiled_kernels
 
 _ck = _compiled_kernels()
 if _ck is not None:
-    # getattr: extensions built before these types existed stay loadable.
-    Counter = getattr(_ck, "Counter", Counter)
-    Distribution = getattr(_ck, "Distribution", Distribution)
+    Counter = _ck.Counter
+    Distribution = _ck.Distribution
 del _ck, _compiled_kernels

@@ -28,9 +28,6 @@ static PyObject *str_segment;       /* "segment" */
 static PyObject *str_head_segment;  /* "head_segment" */
 static PyObject *str_base;          /* "base" */
 static PyObject *str_inst;          /* "inst" */
-static PyObject *str_static;        /* "static" */
-static PyObject *str_opcode;        /* "opcode" */
-static PyObject *str_cluster;       /* "cluster" */
 static PyObject *str_inc;           /* "inc" */
 /* Attribute names used by the fused dispatch-admission path (admit). */
 static PyObject *str_seq;           /* "seq" */
@@ -71,11 +68,6 @@ static PyObject *str_freed;         /* "freed" */
 static PyObject *str_member_delay;  /* "member_delay" */
 static PyObject *never_obj;         /* PyLong(1 << 60), the NEVER sentinel */
 static PyObject *zero_obj;          /* PyLong(0) */
-
-/* Fused FU acquisition for Engine.issue_select (defined with the
- * Pipeline engine below; falls back to the Python callable). */
-static int issue_try_acquire(PyObject *fu, PyObject *acquire,
-                             PyObject *entry, int64_t now);
 
 /* ------------------------------------------------------------------ */
 /* Growable int64 vector                                              */
@@ -1582,13 +1574,28 @@ Engine_p0_next(Engine *self, PyObject *arg)
     return PyLong_FromLongLong((long long)KNEVER);
 }
 
+static int
+acquire_inst(PyObject *acquire, PyObject *entry)
+{
+    /* acquire(entry.inst): 1 claimed, 0 blocked, -1 error. */
+    PyObject *inst = PyObject_GetAttr(entry, str_inst);
+    if (inst == NULL)
+        return -1;
+    PyObject *result = PyObject_CallOneArg(acquire, inst);
+    Py_DECREF(inst);
+    if (result == NULL)
+        return -1;
+    int ok = PyObject_IsTrue(result);
+    Py_DECREF(result);
+    return ok;
+}
+
 static PyObject *
 Engine_issue_select(Engine *self, PyObject *args)
 {
     long long now_ll, width_ll;
-    PyObject *fu, *acquire;
-    if (!PyArg_ParseTuple(args, "LLOO", &now_ll, &width_ll, &fu,
-                          &acquire))
+    PyObject *acquire;
+    if (!PyArg_ParseTuple(args, "LLO", &now_ll, &width_ll, &acquire))
         return NULL;
     int64_t now = (int64_t)now_ll;
     Py_ssize_t width = (Py_ssize_t)width_ll;
@@ -1615,7 +1622,7 @@ Engine_issue_select(Engine *self, PyObject *args)
         if (e_seq[slot] != key >> SLOT_BITS || e_seg[slot] != 0)
             continue;           /* issued already or recycled */
         PyObject *entry = self->e_obj[slot];
-        int ok = issue_try_acquire(fu, acquire, entry, now);
+        int ok = acquire_inst(acquire, entry);
         if (ok < 0)
             goto fail;
         if (ok) {
@@ -2280,30 +2287,8 @@ static PyTypeObject CounterType = {
     .tp_new = PyType_GenericNew,
 };
 
-/* ------------------------------------------------------------------ */
-/* Pipeline engine (repro.pipeline.kernels transliteration)           */
-/*                                                                    */
-/* Per-(FU class, cluster) next-free heaps with the same heapreplace  */
-/* discipline as PyPipelineEngine, plus the fused FU acquisition the  */
-/* Engine's issue_select exploits: opcode -> (class, occupancy) keys  */
-/* come from a dict shared with FUPool (lazily filled by the Python   */
-/* side), and stat counters from this module increment their struct   */
-/* field directly instead of bouncing through inc().                  */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    Py_ssize_t n_classes;
-    Py_ssize_t clusters;
-    Py_ssize_t mem_port;
-    i64vec *heaps;              /* n_classes * clusters unit heaps */
-    PyObject **issued;          /* one counter per class */
-    PyObject *structural;
-    PyObject *issue_keys;       /* opcode -> (class index, occupancy) */
-} PipelineObj;
-
-static PyTypeObject PipelineType;
-
+/* Bump a stat counter: the struct field for this module's Counter, the
+ * Python inc() protocol for anything else. */
 static inline int
 counter_inc1(PyObject *counter)
 {
@@ -2317,297 +2302,6 @@ counter_inc1(PyObject *counter)
     Py_DECREF(result);
     return 0;
 }
-
-static int
-pipeline_accept_raw(PipelineObj *self, Py_ssize_t ci, Py_ssize_t cluster,
-                    int64_t occupancy, int64_t now)
-{
-    /* 1 claimed, 0 busy (structural stall counted), -1 error. */
-    i64vec *units = &self->heaps[ci * self->clusters + cluster];
-    if (!units->len || units->data[0] > now)
-        return counter_inc1(self->structural) < 0 ? -1 : 0;
-    units->data[0] = now + occupancy;       /* heapreplace */
-    hq_siftup(units->data, 0, units->len);
-    return counter_inc1(self->issued[ci]) < 0 ? -1 : 1;
-}
-
-static int
-issue_try_acquire(PyObject *fu, PyObject *acquire, PyObject *entry,
-                  int64_t now)
-{
-    /* acquire(entry.inst), short-circuited through the pipeline engine
-     * when the caller offered one and the opcode's key is known. */
-    PyObject *inst = PyObject_GetAttr(entry, str_inst);
-    if (inst == NULL)
-        return -1;
-    if (fu != NULL && Py_TYPE(fu) == &PipelineType) {
-        PipelineObj *pl = (PipelineObj *)fu;
-        PyObject *st = PyObject_GetAttr(inst, str_static);
-        if (st == NULL) {
-            Py_DECREF(inst);
-            return -1;
-        }
-        PyObject *opcode = PyObject_GetAttr(st, str_opcode);
-        Py_DECREF(st);
-        if (opcode == NULL) {
-            Py_DECREF(inst);
-            return -1;
-        }
-        PyObject *key = PyDict_GetItemWithError(pl->issue_keys, opcode);
-        Py_DECREF(opcode);
-        if (key != NULL) {
-            long long ci = PyLong_AsLongLong(PyTuple_GET_ITEM(key, 0));
-            long long occ = PyLong_AsLongLong(PyTuple_GET_ITEM(key, 1));
-            if ((ci == -1 || occ == -1) && PyErr_Occurred()) {
-                Py_DECREF(inst);
-                return -1;
-            }
-            if (occ < 0) {
-                Py_DECREF(inst);
-                return 1;       /* class NONE consumes nothing */
-            }
-            PyObject *cl = PyObject_GetAttr(inst, str_cluster);
-            if (cl == NULL) {
-                Py_DECREF(inst);
-                return -1;
-            }
-            long long cluster = PyLong_AsLongLong(cl);
-            Py_DECREF(cl);
-            if (cluster == -1 && PyErr_Occurred()) {
-                Py_DECREF(inst);
-                return -1;
-            }
-            Py_DECREF(inst);
-            return pipeline_accept_raw(pl, (Py_ssize_t)ci,
-                                       (Py_ssize_t)cluster,
-                                       (int64_t)occ, now);
-        }
-        if (PyErr_Occurred()) {
-            Py_DECREF(inst);
-            return -1;
-        }
-        /* Unseen opcode: the Python path resolves and caches the key. */
-    }
-    PyObject *result = PyObject_CallOneArg(acquire, inst);
-    Py_DECREF(inst);
-    if (result == NULL)
-        return -1;
-    int ok = PyObject_IsTrue(result);
-    Py_DECREF(result);
-    return ok;
-}
-
-static int
-Pipeline_init(PipelineObj *self, PyObject *args, PyObject *kwds)
-{
-    Py_ssize_t n_classes, clusters, mem_port;
-    PyObject *counts, *issued, *structural, *issue_keys;
-    static char *kwlist[] = {"n_classes", "clusters", "counts",
-                             "mem_port_index", "issued_counters",
-                             "structural_counter", "issue_keys", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "nnOnOOO", kwlist,
-                                     &n_classes, &clusters, &counts,
-                                     &mem_port, &issued, &structural,
-                                     &issue_keys))
-        return -1;
-    if (!PyDict_Check(issue_keys)) {
-        PyErr_SetString(PyExc_TypeError, "issue_keys must be a dict");
-        return -1;
-    }
-    PyObject *counts_fast = PySequence_Fast(counts,
-                                            "counts must be a sequence");
-    if (counts_fast == NULL)
-        return -1;
-    PyObject *issued_fast = PySequence_Fast(issued,
-                                            "counters must be a sequence");
-    if (issued_fast == NULL) {
-        Py_DECREF(counts_fast);
-        return -1;
-    }
-    if (PySequence_Fast_GET_SIZE(counts_fast) != n_classes
-        || PySequence_Fast_GET_SIZE(issued_fast) != n_classes) {
-        Py_DECREF(counts_fast);
-        Py_DECREF(issued_fast);
-        PyErr_SetString(PyExc_ValueError,
-                        "counts/counters length != n_classes");
-        return -1;
-    }
-    self->n_classes = n_classes;
-    self->clusters = clusters;
-    self->mem_port = mem_port;
-    self->heaps = (i64vec *)PyMem_Calloc(
-        (size_t)(n_classes * clusters), sizeof(i64vec));
-    self->issued = (PyObject **)PyMem_Calloc((size_t)n_classes,
-                                             sizeof(PyObject *));
-    if (self->heaps == NULL || self->issued == NULL) {
-        Py_DECREF(counts_fast);
-        Py_DECREF(issued_fast);
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t ci = 0; ci < n_classes; ci++) {
-        long long total = PyLong_AsLongLong(
-            PySequence_Fast_GET_ITEM(counts_fast, ci));
-        if (total == -1 && PyErr_Occurred()) {
-            Py_DECREF(counts_fast);
-            Py_DECREF(issued_fast);
-            return -1;
-        }
-        Py_ssize_t per = (Py_ssize_t)(total / clusters);
-        for (Py_ssize_t cluster = 0; cluster < clusters; cluster++) {
-            i64vec *units = &self->heaps[ci * clusters + cluster];
-            if (iv_init(units, per > 0 ? per : 1) < 0) {
-                Py_DECREF(counts_fast);
-                Py_DECREF(issued_fast);
-                PyErr_NoMemory();
-                return -1;
-            }
-            memset(units->data, 0, sizeof(int64_t) * (size_t)per);
-            units->len = per;
-        }
-        PyObject *counter = PySequence_Fast_GET_ITEM(issued_fast, ci);
-        Py_INCREF(counter);
-        self->issued[ci] = counter;
-    }
-    Py_DECREF(counts_fast);
-    Py_DECREF(issued_fast);
-    Py_INCREF(structural);
-    Py_XSETREF(self->structural, structural);
-    Py_INCREF(issue_keys);
-    Py_XSETREF(self->issue_keys, issue_keys);
-    return 0;
-}
-
-static int
-Pipeline_traverse(PipelineObj *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->structural);
-    Py_VISIT(self->issue_keys);
-    if (self->issued != NULL)
-        for (Py_ssize_t i = 0; i < self->n_classes; i++)
-            Py_VISIT(self->issued[i]);
-    return 0;
-}
-
-static int
-Pipeline_clear(PipelineObj *self)
-{
-    Py_CLEAR(self->structural);
-    Py_CLEAR(self->issue_keys);
-    if (self->issued != NULL)
-        for (Py_ssize_t i = 0; i < self->n_classes; i++)
-            Py_CLEAR(self->issued[i]);
-    return 0;
-}
-
-static void
-Pipeline_dealloc(PipelineObj *self)
-{
-    PyObject_GC_UnTrack(self);
-    Pipeline_clear(self);
-    if (self->heaps != NULL)
-        for (Py_ssize_t i = 0; i < self->n_classes * self->clusters; i++)
-            iv_free(&self->heaps[i]);
-    PyMem_Free(self->heaps);
-    PyMem_Free(self->issued);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-Pipeline_fu_accept(PipelineObj *self, PyObject *args)
-{
-    long long ci, cluster, occupancy, now;
-    if (!PyArg_ParseTuple(args, "LLLL", &ci, &cluster, &occupancy, &now))
-        return NULL;
-    int rc = pipeline_accept_raw(self, (Py_ssize_t)ci,
-                                 (Py_ssize_t)cluster,
-                                 (int64_t)occupancy, (int64_t)now);
-    if (rc < 0)
-        return NULL;
-    return PyBool_FromLong(rc);
-}
-
-static PyObject *
-Pipeline_fu_can_accept(PipelineObj *self, PyObject *args)
-{
-    long long ci, cluster, now;
-    if (!PyArg_ParseTuple(args, "LLL", &ci, &cluster, &now))
-        return NULL;
-    i64vec *units = &self->heaps[ci * self->clusters + cluster];
-    return PyBool_FromLong(units->len && units->data[0] <= now);
-}
-
-static PyObject *
-Pipeline_fu_cache_port(PipelineObj *self, PyObject *arg)
-{
-    long long now = PyLong_AsLongLong(arg);
-    if (now == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t base = self->mem_port * self->clusters;
-    for (Py_ssize_t cluster = 0; cluster < self->clusters; cluster++) {
-        i64vec *units = &self->heaps[base + cluster];
-        if (!units->len || units->data[0] > now) {
-            if (counter_inc1(self->structural) < 0)
-                return NULL;
-            continue;
-        }
-        units->data[0] = now + 1;           /* heapreplace */
-        hq_siftup(units->data, 0, units->len);
-        if (counter_inc1(self->issued[self->mem_port]) < 0)
-            return NULL;
-        Py_RETURN_TRUE;
-    }
-    Py_RETURN_FALSE;
-}
-
-static PyObject *
-Pipeline_fu_next_event(PipelineObj *self, PyObject *arg)
-{
-    long long now = PyLong_AsLongLong(arg);
-    if (now == -1 && PyErr_Occurred())
-        return NULL;
-    int64_t earliest = KNEVER;
-    Py_ssize_t total = self->n_classes * self->clusters;
-    for (Py_ssize_t i = 0; i < total; i++) {
-        i64vec *units = &self->heaps[i];
-        if (units->len && now < units->data[0]
-            && units->data[0] < earliest)
-            earliest = units->data[0];
-    }
-    return PyLong_FromLongLong((long long)earliest);
-}
-
-static PyMethodDef Pipeline_methods[] = {
-    {"fu_accept", (PyCFunction)Pipeline_fu_accept, METH_VARARGS, NULL},
-    {"fu_can_accept", (PyCFunction)Pipeline_fu_can_accept, METH_VARARGS,
-     NULL},
-    {"fu_cache_port", (PyCFunction)Pipeline_fu_cache_port, METH_O, NULL},
-    {"fu_next_event", (PyCFunction)Pipeline_fu_next_event, METH_O, NULL},
-    {NULL, NULL, 0, NULL}
-};
-
-static PyMemberDef Pipeline_members[] = {
-    {"issue_keys", T_OBJECT, offsetof(PipelineObj, issue_keys), READONLY,
-     NULL},
-    {NULL, 0, 0, 0, NULL}
-};
-
-static PyTypeObject PipelineType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.core.segmented._ckernels.Pipeline",
-    .tp_basicsize = sizeof(PipelineObj),
-    .tp_itemsize = 0,
-    .tp_dealloc = (destructor)Pipeline_dealloc,
-    .tp_flags = (Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE
-                 | Py_TPFLAGS_HAVE_GC),
-    .tp_doc = "Compiled pipeline kernel engine (see pipeline/kernels.py)",
-    .tp_traverse = (traverseproc)Pipeline_traverse,
-    .tp_clear = (inquiry)Pipeline_clear,
-    .tp_methods = Pipeline_methods,
-    .tp_members = Pipeline_members,
-    .tp_init = (initproc)Pipeline_init,
-    .tp_new = PyType_GenericNew,
-};
 
 typedef struct {
     PyObject_HEAD
@@ -3185,12 +2879,9 @@ PyInit__ckernels(void)
     str_head_segment = PyUnicode_InternFromString("head_segment");
     str_base = PyUnicode_InternFromString("base");
     str_inst = PyUnicode_InternFromString("inst");
-    str_static = PyUnicode_InternFromString("static");
-    str_opcode = PyUnicode_InternFromString("opcode");
-    str_cluster = PyUnicode_InternFromString("cluster");
     str_inc = PyUnicode_InternFromString("inc");
     if (!str_segment || !str_head_segment || !str_base || !str_inst
-        || !str_static || !str_opcode || !str_cluster || !str_inc)
+        || !str_inc)
         return NULL;
     str_seq = PyUnicode_InternFromString("seq");
     str_operands = PyUnicode_InternFromString("operands");
@@ -3287,21 +2978,6 @@ PyInit__ckernels(void)
     if (PyModule_AddObject(module, "EventQueue",
                            (PyObject *)&EQType) < 0) {
         Py_DECREF(&EQType);
-        Py_DECREF(module);
-        return NULL;
-    }
-    if (PyType_Ready(&PipelineType) < 0) {
-        Py_DECREF(module);
-        return NULL;
-    }
-    if (PyDict_SetItemString(PipelineType.tp_dict, "kind", kind) < 0) {
-        Py_DECREF(module);
-        return NULL;
-    }
-    Py_INCREF(&PipelineType);
-    if (PyModule_AddObject(module, "Pipeline",
-                           (PyObject *)&PipelineType) < 0) {
-        Py_DECREF(&PipelineType);
         Py_DECREF(module);
         return NULL;
     }

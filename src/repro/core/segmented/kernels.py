@@ -34,9 +34,10 @@ Two interchangeable backends implement the same engine contract:
 Backend selection (see docs/performance.md): the ``REPRO_KERNELS``
 environment variable (``py`` | ``compiled`` | ``auto``, default
 ``auto``) or :func:`set_backend`; :func:`backend` reports the resolved
-choice.  ``auto`` uses the compiled module when it is importable and
-falls back to pure Python silently — the compiled backend is never a
-hard install-time dependency.
+choice.  ``auto`` uses the compiled module when it is built and no older
+than ``_ckernels.c`` (:func:`repro.common._ckload.load_extension` decides)
+and falls back to pure Python silently otherwise — the compiled backend is
+never a hard install-time dependency.  ``compiled`` raises instead.
 
 Semantics notes (shared by both backends):
 
@@ -64,6 +65,8 @@ from __future__ import annotations
 import os
 from heapq import heapify, heappop, heappush
 from typing import List, Optional, Tuple
+
+from repro.common._ckload import load_extension
 
 #: Sentinel for "not before the next chain event" (mirrors links.NEVER).
 NEVER = 1 << 60
@@ -262,7 +265,7 @@ class PyKernelEngine:
             return self.p0heap[0] >> SLOT_BITS
         return NEVER
 
-    def issue_select(self, now: int, width: int, fu, acquire):
+    def issue_select(self, now: int, width: int, acquire):
         """The fused segment-0 issue loop.
 
         Matured pending records graduate into the ready heap (drop the
@@ -273,11 +276,9 @@ class PyKernelEngine:
         pool accepts issue, and blocked candidates re-queue.  Returns
         ``(ready_count, issued_entries)`` — the count feeds the
         ``iq.seg0_ready`` sample *before* staleness filtering at pop
-        time, exactly like the tuple-heap code it replaces.
-
-        ``fu`` is the pipeline kernel engine when the caller can offer a
-        fused FU check (the compiled twin exploits it); this reference
-        implementation always goes through ``acquire(inst)``.
+        time, exactly like the tuple-heap code it replaces.  ``acquire``
+        claims the FU an issue of ``inst`` needs (see
+        :class:`repro.pipeline.fu.FUPool`).
         """
         p0 = self.p0heap
         r0 = self.r0heap
@@ -766,12 +767,10 @@ _FORCED: Optional[str] = None
 
 
 def _compiled_engine():
-    """The compiled Engine class, or None when unavailable."""
-    try:
-        from repro.core.segmented import _ckernels
-    except ImportError:
-        return None
-    return _ckernels.Engine
+    """The compiled Engine class, or None when the extension is unusable
+    (not built, or older than its source)."""
+    module = load_extension()
+    return None if module is None else module.Engine
 
 
 def _requested() -> str:
@@ -802,8 +801,8 @@ def backend() -> str:
     if requested == "compiled":
         raise RuntimeError(
             "REPRO_KERNELS=compiled but the compiled kernel backend is "
-            "not built; run `python -m repro.core.segmented.build` or "
-            "use REPRO_KERNELS=py")
+            "not built or older than _ckernels.c; run `python -m "
+            "repro.core.segmented.build` or use REPRO_KERNELS=py")
     return "py"
 
 
@@ -812,3 +811,16 @@ def make_engine(num_segments: int, capacity: int, thresholds):
     if backend() == "compiled":
         return _compiled_engine()(num_segments, capacity, list(thresholds))
     return PyKernelEngine(num_segments, capacity, thresholds)
+
+
+def rename_kernel():
+    """The fused unclustered rename loop (C), or None on the py backend.
+
+    ``rename_operands(operand_cls, last_writer, srcs, limit)`` builds the
+    dispatch-time operand list in one call; Processor._dispatch keeps the
+    Python loop as the fallback twin (and for clustered configurations,
+    whose bypass-penalty bookkeeping stays in Python).
+    """
+    if backend() == "compiled":
+        return load_extension().rename_operands
+    return None

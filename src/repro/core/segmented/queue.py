@@ -189,18 +189,16 @@ class SegmentedIQ(InstructionQueue):
         self.stat_seg0_ready = stats.distribution(
             "iq.seg0_ready", "issue-ready instructions in segment 0")
 
-        # Fused C admission: when the compiled engine offers bind_admit,
-        # hand it the classes the dispatch path instantiates plus the
-        # dispatched counter; dispatch then funnels the whole admission
-        # body through one engine.admit call.  The inlined Python body
-        # below stays as the pure-Python twin.
-        self._c_admit = False
-        if getattr(self._engine, "kind", "py") == "compiled":
-            bind = getattr(self._engine, "bind_admit", None)
-            if bind is not None:
-                bind(SegmentState, RITEntry, IQEntry,
-                     self.stat_dispatched, PREDICTED_LOAD_LATENCY)
-                self._c_admit = True
+        # Fused C admission: the compiled engine is handed the classes the
+        # dispatch path instantiates plus the dispatched counter; dispatch
+        # then funnels the whole admission body through one engine.admit
+        # call.  The inlined Python body below stays as the pure-Python
+        # twin.
+        self._c_admit = self.kernel_backend == "compiled"
+        if self._c_admit:
+            self._engine.bind_admit(SegmentState, RITEntry, IQEntry,
+                                    self.stat_dispatched,
+                                    PREDICTED_LOAD_LATENCY)
 
     # ------------------------------------------------------------ space --
     def attach_tracer(self, tracer) -> None:
@@ -488,14 +486,8 @@ class SegmentedIQ(InstructionQueue):
         engine = self._engine
         engine.set_now(now)
         self._issued_this_cycle = False
-        # A caller that exposes its FU kernel engine (the processor's
-        # FUAcquire) lets the compiled engine fuse the FU check into its
-        # issue loop; any plain callable takes the generic path.  Both
-        # are bit-identical — the fused check claims the same unit with
-        # the same stat increments the callable would have.
-        fu_engine = getattr(acquire_fu, "fu_engine", None)
         count, issued = engine.issue_select(now, self.issue_width,
-                                            fu_engine, acquire_fu)
+                                            acquire_fu)
         self.stat_seg0_ready.sample(count)
         if issued:
             self._issued_this_cycle = True

@@ -3,26 +3,19 @@
 Table 1 gives 8 units of each class.  All units are fully pipelined (accept
 one operation per cycle) except integer divide, FP divide, and FP sqrt,
 which occupy their unit for the full latency.
-
-The per-unit next-free heaps live in the pipeline kernel engine
-(:mod:`repro.pipeline.kernels`), which has a compiled twin behind the
-``REPRO_KERNELS`` switch; this class keeps the instruction-facing policy
-(class selection, occupancy) and delegates the heap discipline.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from heapq import heapreplace
+from typing import Dict, List
 
 from repro.common.stats import StatGroup
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import FUClass, op_info
-from repro.pipeline import kernels as _pkernels
+from repro.isa.opcodes import FUClass
 
-#: All schedulable FU classes, in FUClass declaration order (the engine's
-#: class-index space).
-_CLASSES = [fu_class for fu_class in FUClass if fu_class is not FUClass.NONE]
-_CLASS_INDEX = {fu_class: index for index, fu_class in enumerate(_CLASSES)}
+#: What an issue of a class-NONE opcode (HALT/NOP) claims: nothing.
+_NO_UNIT = (None, 0, None)
 
 
 class FUPool:
@@ -31,25 +24,38 @@ class FUPool:
     With ``clusters > 1`` (the paper's section-7 horizontal clustering),
     each class's units are split evenly across clusters and an instruction
     may only use its own cluster's units.
+
+    The pool is also the issue loop's FU acquisition callable: the
+    processor sets :attr:`now` once per cycle and hands the pool to the
+    IQ's ``select_issue``, which calls it once per issue candidate.
     """
+
+    __slots__ = ("clusters", "now", "_units", "_ports", "_stat_issued",
+                 "_stat_structural", "_issue_slots")
 
     def __init__(self, fu_counts: Dict[str, int], stats: StatGroup,
                  clusters: int = 1) -> None:
         self.clusters = max(1, clusters)
-        counts = [fu_counts.get(fu_class.value, 0) for fu_class in _CLASSES]
-        issued = [stats.counter(f"fu.{fu_class.value}.ops")
-                  for fu_class in _CLASSES]
+        self.now = 0
+        # Per (class, cluster): heap of next-free cycles, one per unit.
+        self._units: Dict[tuple, List[int]] = {}
+        self._stat_issued = {}
+        for fu_class in FUClass:
+            if fu_class is FUClass.NONE:
+                continue
+            per_cluster = fu_counts.get(fu_class.value, 0) // self.clusters
+            for cluster in range(self.clusters):
+                self._units[(fu_class, cluster)] = [0] * per_cluster
+            self._stat_issued[fu_class] = stats.counter(
+                f"fu.{fu_class.value}.ops")
         self._stat_structural = stats.counter(
             "fu.structural_stalls", "issue attempts blocked by busy units")
-        #: opcode -> (engine class index, occupancy), resolved lazily
-        #: (-1 occupancy marks the class-NONE "consumes nothing" case).
-        #: Shared with the engine so a fused issue select can claim units
-        #: without re-entering Python.
-        self._issue_keys: Dict = {}
-        self._engine = _pkernels.make_engine(
-            len(_CLASSES), self.clusters, counts,
-            _CLASS_INDEX[FUClass.MEM_PORT], issued, self._stat_structural,
-            self._issue_keys)
+        #: The data-cache port heaps, in cluster order.
+        self._ports = [self._units[(FUClass.MEM_PORT, cluster)]
+                       for cluster in range(self.clusters)]
+        #: Per cluster: opcode -> (unit heap, occupancy, issued counter)
+        #: an issue claims, resolved on first sight of the opcode.
+        self._issue_slots: List[Dict] = [{} for _ in range(self.clusters)]
 
     @staticmethod
     def issue_class(inst: DynInst) -> FUClass:
@@ -65,14 +71,19 @@ class FUPool:
 
     def can_accept(self, fu_class: FUClass, now: int,
                    cluster: int = 0) -> bool:
-        return self._engine.fu_can_accept(
-            _CLASS_INDEX[fu_class], cluster, now)
+        units = self._units.get((fu_class, cluster))
+        return bool(units) and units[0] <= now
 
     def accept(self, fu_class: FUClass, now: int, occupancy: int = 1,
                cluster: int = 0) -> bool:
         """Claim a ``fu_class`` unit in ``cluster`` for ``occupancy`` cycles."""
-        return self._engine.fu_accept(
-            _CLASS_INDEX[fu_class], cluster, occupancy, now)
+        units = self._units.get((fu_class, cluster))
+        if not units or units[0] > now:
+            self._stat_structural.inc()
+            return False
+        heapreplace(units, now + occupancy)
+        self._stat_issued[fu_class].inc()
+        return True
 
     def next_event_cycle(self, now: int) -> int:
         """Earliest future cycle a currently-busy unit frees up (NEVER if
@@ -83,63 +94,67 @@ class FUPool:
         stalls per cycle), so unit availability never gates a skip on its
         own — but every timed component answers the same question.
         """
-        return self._engine.fu_next_event(now)
+        earliest = 1 << 60
+        for units in self._units.values():
+            if units and now < units[0] < earliest:
+                earliest = units[0]
+        return earliest
 
-    def _issue_key(self, inst: DynInst):
-        """(engine class index, occupancy) an issue of this opcode claims."""
-        info = inst.static.info
-        fu_class = info.fu_class
-        if fu_class is FUClass.NONE:
-            key = (0, -1)
-        elif inst.is_mem:
-            key = (_CLASS_INDEX[FUClass.INT_ALU], 1)   # pipelined EA add
-        else:
-            key = (_CLASS_INDEX[fu_class],
-                   1 if info.pipelined else info.latency)
-        self._issue_keys[inst.static.opcode] = key
-        return key
-
-    def try_issue(self, inst: DynInst, now: int) -> bool:
-        """Claim the unit an IQ issue of ``inst`` needs.
+    def _issue_slot(self, inst: DynInst):
+        """Resolve and remember what an issue of ``inst``'s opcode in its
+        cluster claims.
 
         Non-pipelined operations occupy their unit for the full latency;
-        pipelined ones free it next cycle.  HALT/NOP consume nothing.
+        pipelined ones (and a memory op's effective-address add) free it
+        next cycle.  HALT/NOP consume nothing.
         """
-        key = self._issue_keys.get(inst.static.opcode)
-        if key is None:
-            key = self._issue_key(inst)
-        ci, occupancy = key
-        if occupancy < 0:
+        info = inst.static.info
+        fu_class = self.issue_class(inst)
+        if fu_class is FUClass.NONE:
+            slot = _NO_UNIT
+        else:
+            occupancy = 1 if inst.is_mem or info.pipelined else info.latency
+            slot = (self._units[(fu_class, inst.cluster)], occupancy,
+                    self._stat_issued[fu_class])
+        self._issue_slots[inst.cluster][inst.static.opcode] = slot
+        return slot
+
+    def __call__(self, inst: DynInst) -> bool:
+        """Claim the unit an IQ issue of ``inst`` needs at :attr:`now`.
+
+        The same claim as ``accept(issue_class(inst), ...)``, with the
+        class lookups done once per (opcode, cluster): this runs once per
+        issue candidate.
+        """
+        slot = self._issue_slots[inst.cluster].get(inst.static.opcode)
+        if slot is None:
+            slot = self._issue_slot(inst)
+        units, occupancy, issued = slot
+        if units is None:
             return True
-        return self._engine.fu_accept(ci, inst.cluster, occupancy, now)
+        now = self.now
+        if not units or units[0] > now:
+            self._stat_structural.inc()
+            return False
+        heapreplace(units, now + occupancy)
+        issued.inc()
+        return True
+
+    def try_issue(self, inst: DynInst, now: int) -> bool:
+        """Claim the unit an IQ issue of ``inst`` needs at cycle ``now``."""
+        self.now = now
+        return self(inst)
 
     def try_cache_port(self, now: int) -> bool:
         """Claim a data-cache read/write port for one cycle (LSQ side).
 
-        The cache is shared: any cluster's port will do."""
-        return self._engine.fu_cache_port(now)
-
-
-class FUAcquire:
-    """Persistent issue-loop FU acquisition callable.
-
-    The processor updates :attr:`now` once per cycle and hands the same
-    object to ``select_issue`` every cycle.  IQ models that run their
-    issue select inside a kernel engine probe :attr:`fu_engine` (via
-    ``getattr``) so the compiled backend can claim units without
-    re-entering Python; everything else — other IQ models, tests passing
-    plain lambdas — just calls it.
-    """
-
-    __slots__ = ("_pool", "now")
-
-    def __init__(self, pool: FUPool) -> None:
-        self._pool = pool
-        self.now = 0
-
-    @property
-    def fu_engine(self):
-        return self._pool._engine
-
-    def __call__(self, inst: DynInst) -> bool:
-        return self._pool.try_issue(inst, self.now)
+        The cache is shared: any cluster's port will do.  Each busy
+        cluster passed over counts a structural stall, as ``accept``
+        does."""
+        for units in self._ports:
+            if units and units[0] <= now:
+                heapreplace(units, now + 1)
+                self._stat_issued[FUClass.MEM_PORT].inc()
+                return True
+            self._stat_structural.inc()
+        return False

@@ -37,14 +37,14 @@ from repro.common.events import EventQueue
 from repro.common.params import ProcessorParams
 from repro.common.stats import StatGroup
 from repro.core.iq_base import InstructionQueue, Operand
+from repro.core.segmented.kernels import rename_kernel
 from repro.core.segmented.links import NEVER
 from repro.frontend.fetch import FrontEnd
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.events import TraceEvent
-from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.kernels import rename_kernel
+from repro.pipeline.fu import FUPool
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 
@@ -208,8 +208,7 @@ class Processor:
         self.events = EventQueue()
         self.memory = MemoryHierarchy(params.memory, self.events, self.stats)
         self.fu_pool = FUPool(params.fu_counts, self.stats, params.clusters)
-        self._fu_acquire = FUAcquire(self.fu_pool)
-        # Fused C rename loop (pipeline kernel tier); clustered configs
+        # Fused C rename loop (compiled backend); clustered configs
         # keep the Python loop for its bypass-penalty bookkeeping.
         self._c_rename = None if self._clustered else rename_kernel()
         self.iq = build_iq(params, self.stats)
@@ -672,9 +671,9 @@ class Processor:
 
     # ------------------------------------------------------------- issue --
     def _issue(self, now: int) -> None:
-        acquire_fu = self._fu_acquire
-        acquire_fu.now = now
-        issued = self.iq.select_issue(now, acquire_fu)
+        fu_pool = self.fu_pool
+        fu_pool.now = now
+        issued = self.iq.select_issue(now, fu_pool)
         if not issued:
             return
         checker = self.invariant_checker

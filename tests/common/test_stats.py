@@ -1,31 +1,45 @@
-"""Tests for the statistics primitives."""
+"""Tests for the statistics primitives.
 
+``Counter``/``Distribution`` are the compiled types whenever the kernel
+extension loads; the ``TestPy*`` classes rerun every case on the
+pure-Python twins, so both are always exercised.
+"""
+
+import json
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.stats import Counter, Distribution, StatGroup, ratio
+from repro.common import _ckload, stats
+from repro.common.stats import (Counter, Distribution, PyCounter,
+                                PyDistribution, StatGroup, ratio)
 
 
 class TestCounter:
+    Counter = Counter
+
     def test_starts_at_zero(self):
-        assert Counter("c").value == 0
+        assert self.Counter("c").value == 0
 
     def test_inc_default_and_amount(self):
-        counter = Counter("c")
+        counter = self.Counter("c")
         counter.inc()
         counter.inc(5)
         assert counter.value == 6
 
     def test_reset(self):
-        counter = Counter("c")
+        counter = self.Counter("c")
         counter.inc(3)
         counter.reset()
         assert counter.value == 0
 
 
 class TestDistribution:
+    Distribution = Distribution
+
     def test_empty_distribution_is_safe(self):
-        dist = Distribution("d")
+        dist = self.Distribution("d")
         assert dist.mean == 0.0
         assert dist.peak == 0.0
         assert dist.count == 0
@@ -41,7 +55,7 @@ class TestDistribution:
         assert "inf" not in report
 
     def test_mean_min_max(self):
-        dist = Distribution("d")
+        dist = self.Distribution("d")
         for value in [1, 2, 3, 10]:
             dist.sample(value)
         assert dist.mean == 4.0
@@ -49,20 +63,39 @@ class TestDistribution:
         assert dist.maximum == 10
         assert dist.peak == 10
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
-                              width=32), min_size=1))
-    def test_matches_reference_implementation(self, samples):
-        dist = Distribution("d")
-        for value in samples:
-            dist.sample(value)
-        assert dist.count == len(samples)
-        assert dist.minimum == min(samples)
-        assert dist.maximum == max(samples)
-        assert abs(dist.total - sum(samples)) <= 1e-6 * max(
-            1.0, abs(sum(samples)))
+    def test_matches_reference_implementation(self):
+        # The property is built per call: subclasses rerun it on another
+        # twin, and one @given method may not run under two classes.
+        @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                  width=32), min_size=1))
+        def check(samples):
+            dist = self.Distribution("d")
+            for value in samples:
+                dist.sample(value)
+            assert dist.count == len(samples)
+            assert dist.minimum == min(samples)
+            assert dist.maximum == max(samples)
+            assert abs(dist.total - sum(samples)) <= 1e-6 * max(
+                1.0, abs(sum(samples)))
+
+        check()
 
 
-class TestStatGroup:
+class _BoundTwins:
+    """Cases that build stats through a StatGroup: the group creates
+    ``stats.Counter``/``stats.Distribution``, rebound here to the class's
+    twins."""
+
+    Counter = Counter
+    Distribution = Distribution
+
+    @pytest.fixture(autouse=True)
+    def _bind_twins(self, monkeypatch):
+        monkeypatch.setattr(stats, "Counter", self.Counter)
+        monkeypatch.setattr(stats, "Distribution", self.Distribution)
+
+
+class TestStatGroup(_BoundTwins):
     def test_counter_identity_on_same_name(self):
         group = StatGroup()
         assert group.counter("a") is group.counter("a")
@@ -107,7 +140,7 @@ class TestStatGroup:
         assert "100" in text
 
 
-class TestSnapshotMerge:
+class TestSnapshotMerge(_BoundTwins):
     """Window-scoped stat stitching for the sampling subsystem."""
 
     def _window(self, commits, occ_samples):
@@ -146,6 +179,53 @@ class TestSnapshotMerge:
         clone = StatGroup()
         clone.merge_snapshot(group.snapshot())
         assert clone.as_dict() == group.as_dict()
+
+
+class TestPyCounter(TestCounter):
+    Counter = PyCounter
+
+
+class TestPyDistribution(TestDistribution):
+    Distribution = PyDistribution
+
+
+class TestPyStatGroup(TestStatGroup):
+    Counter, Distribution = PyCounter, PyDistribution
+
+
+class TestPySnapshotMerge(TestSnapshotMerge):
+    Counter, Distribution = PyCounter, PyDistribution
+
+
+class TestCompiledTwins:
+    """The compiled types are the public names whenever the extension
+    loads, and report byte-identically to the Python twins."""
+
+    @pytest.fixture
+    def ck(self):
+        module = _ckload.compiled_kernels()
+        if module is None:
+            pytest.skip("compiled kernel extension not built")
+        return module
+
+    def test_public_names_are_compiled(self, ck):
+        assert Counter is ck.Counter
+        assert Distribution is ck.Distribution
+
+    def test_as_dict_json_identical(self, ck, monkeypatch):
+        def report(counter_cls, dist_cls):
+            monkeypatch.setattr(stats, "Counter", counter_cls)
+            monkeypatch.setattr(stats, "Distribution", dist_cls)
+            group = StatGroup()
+            group.counter("commits").inc(31)
+            for value in (3, 31, 7):
+                group.distribution("iq.occupancy").sample(value)
+            group.distribution("iq.skipped").sample_n(4, 3)
+            group.distribution("never.sampled")
+            return json.dumps(group.as_dict()), group.report()
+
+        assert (report(PyCounter, PyDistribution)
+                == report(ck.Counter, ck.Distribution))
 
 
 class TestRatio:

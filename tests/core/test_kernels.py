@@ -121,80 +121,13 @@ def test_all_models_backend_parity(kind, workload):
 @requires_compiled
 @pytest.mark.parametrize("workload", sorted(WORKLOADS) + ["swim+twolf"])
 def test_pipeline_tier_parity(workload):
-    """The pipeline-tier contract: with dispatch rename, IQ admission and
-    the FU heaps kernelized, the dense seg-512 design point stays
-    bit-identical across backends on all eight benchmarks and on a
-    two-thread SMT pairing."""
+    """The pipeline-tier contract: with dispatch rename and IQ admission
+    kernelized, the dense seg-512 design point stays bit-identical across
+    backends on all eight benchmarks and on a two-thread SMT pairing."""
     from repro.harness import configs
     params = configs.segmented(512, 128, "comb")
     assert (_run(params, workload, "compiled")
             == _run(params, workload, "py"))
-
-
-class _Counter:
-    """Minimal stand-in honouring the stat ``inc`` protocol."""
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
-
-
-def _pipeline_engines():
-    """A (py, compiled) pair of pipeline engines with identical FU
-    shapes, plus their counters for comparison."""
-    from repro.pipeline.kernels import PyPipelineEngine, make_engine
-    shapes = dict(n_classes=3, clusters=2, counts=[4, 2, 2],
-                  mem_port_index=2)
-    py_issued = [_Counter() for _ in range(3)]
-    py_structural = _Counter()
-    py_engine = PyPipelineEngine(issued_counters=py_issued,
-                                 structural_counter=py_structural,
-                                 **shapes)
-    kernels.set_backend("compiled")
-    try:
-        c_issued = [_Counter() for _ in range(3)]
-        c_structural = _Counter()
-        c_engine = make_engine(issued_counters=c_issued,
-                               structural_counter=c_structural, **shapes)
-    finally:
-        kernels.set_backend(None)
-    return (py_engine, py_issued, py_structural,
-            c_engine, c_issued, c_structural)
-
-
-@requires_compiled
-def test_pipeline_engine_op_parity():
-    """The FU-heap engine twins agree call-for-call: accept outcomes,
-    cache-port claims, next-event horizons, and every stat increment."""
-    (py_engine, py_issued, py_structural,
-     c_engine, c_issued, c_structural) = _pipeline_engines()
-    if c_engine.kind != "compiled":
-        pytest.skip("extension predates the pipeline tier")
-    ops = [("accept", 0, 0, 3, 0), ("accept", 0, 0, 3, 0),
-           ("accept", 0, 1, 2, 0), ("can", 0, 0, 1), ("can", 0, 0, 3),
-           ("port", 0), ("port", 0), ("port", 1), ("next", 0),
-           ("accept", 1, 0, 5, 2), ("accept", 1, 0, 5, 2),
-           ("next", 2), ("port", 2), ("next", 4), ("can", 1, 0, 6),
-           ("accept", 2, 1, 1, 6), ("port", 6), ("next", 6)]
-    for op in ops:
-        if op[0] == "accept":
-            _, ci, cluster, occupancy, now = op
-            assert (py_engine.fu_accept(ci, cluster, occupancy, now)
-                    == c_engine.fu_accept(ci, cluster, occupancy, now)), op
-        elif op[0] == "can":
-            _, ci, cluster, now = op
-            assert (py_engine.fu_can_accept(ci, cluster, now)
-                    == c_engine.fu_can_accept(ci, cluster, now)), op
-        elif op[0] == "port":
-            assert (py_engine.fu_cache_port(op[1])
-                    == c_engine.fu_cache_port(op[1])), op
-        else:
-            assert (py_engine.fu_next_event(op[1])
-                    == c_engine.fu_next_event(op[1])), op
-    assert [c.value for c in c_issued] == [c.value for c in py_issued]
-    assert c_structural.value == py_structural.value
 
 
 @requires_compiled
@@ -202,14 +135,11 @@ def test_rename_kernel_matches_python_loop():
     """The fused rename loop builds the same operand list, field for
     field, as the Python twin in Processor._dispatch."""
     from repro.core.iq_base import Operand
-    from repro.pipeline.kernels import rename_kernel
     kernels.set_backend("compiled")
     try:
-        fused = rename_kernel()
+        fused = kernels.rename_kernel()
     finally:
         kernels.set_backend(None)
-    if fused is None:
-        pytest.skip("extension predates the rename kernel")
 
     class _Producer:
         def __init__(self, ready):
@@ -234,29 +164,42 @@ def test_rename_kernel_matches_python_loop():
 
 class TestPipelineGracefulFallback:
     def test_py_backend_uses_python_engine_and_loop(self):
-        """On the py backend the pipeline tier needs no extension: the
-        engine is the Python reference and the rename kernel is None."""
-        from repro.pipeline.kernels import PyPipelineEngine, make_engine, \
-            rename_kernel
+        """On the py backend the dispatch path needs no extension: the
+        rename kernel is None and Processor keeps its Python loop."""
         kernels.set_backend("py")
         try:
-            engine = make_engine(1, 1, [2], 0, [_Counter()], _Counter())
-            assert isinstance(engine, PyPipelineEngine)
-            assert rename_kernel() is None
+            assert kernels.rename_kernel() is None
         finally:
             kernels.set_backend(None)
 
     @requires_compiled
-    def test_stale_extension_falls_back_quietly(self, monkeypatch):
-        """An extension built before the pipeline tier existed lacks
-        the Pipeline type: make_engine falls back to the bit-identical
-        Python twin instead of raising."""
-        from repro.core.segmented import _ckernels
-        from repro.pipeline.kernels import PyPipelineEngine, make_engine
-        monkeypatch.delattr(_ckernels, "Pipeline")
-        kernels.set_backend("compiled")
+    @pytest.mark.parametrize("requested", ["auto", "compiled"])
+    def test_stale_extension_is_refused(self, tmp_path, monkeypatch,
+                                        requested):
+        """A working extension older than _ckernels.c is never loaded:
+        ``auto`` resolves to the Python backend and ``compiled`` raises,
+        instead of silently running code built from an older source."""
+        import os
+        import shutil
+        import sys
+        from repro.common import _ckload
+        built = _ckload.load_extension().__file__
+        extension = tmp_path / os.path.basename(built)
+        shutil.copy(built, extension)
+        source = tmp_path / "_ckernels.c"
+        source.write_text("/* edited after the build */\n")
+        stamp = source.stat().st_mtime
+        os.utime(extension, (stamp - 60, stamp - 60))
+        monkeypatch.setattr(_ckload, "_PACKAGE_DIR", str(tmp_path))
+        monkeypatch.delitem(sys.modules, _ckload._MODULE_NAME)
+        assert _ckload.load_extension() is None
+        kernels.set_backend(requested)
         try:
-            engine = make_engine(1, 1, [2], 0, [_Counter()], _Counter())
-            assert isinstance(engine, PyPipelineEngine)
+            if requested == "auto":
+                assert kernels.backend() == "py"
+                assert kernels.make_engine(2, 4, [0, 4]).kind == "py"
+            else:
+                with pytest.raises(RuntimeError, match="older than"):
+                    kernels.backend()
         finally:
             kernels.set_backend(None)

@@ -10,6 +10,7 @@ from repro.pipeline.fu import FUPool
 from repro.common import StatGroup
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
+from repro.isa.opcodes import FUClass
 
 from tests.conftest import daxpy_program, dependent_chain_program
 
@@ -67,6 +68,42 @@ class TestClusteredFUPool:
         assert pool.try_cache_port(now=0)
         assert pool.try_cache_port(now=0)
         assert not pool.try_cache_port(now=0)
+
+    def test_claims_stalls_and_horizons_per_cluster(self):
+        """A mixed sequence of unit claims, cache-port claims and
+        next-event probes, with every stat the pool keeps.  A busy
+        cluster probed on the way to a free cache port counts one
+        structural stall, as a refused ``accept`` does."""
+        stats = StatGroup()
+        pool = FUPool({"int_alu": 4, "int_mul": 2, "mem_port": 2}, stats,
+                      clusters=2)
+        alu, mul, port = FUClass.INT_ALU, FUClass.INT_MUL, FUClass.MEM_PORT
+        ops = [
+            (lambda: pool.accept(alu, 0, 3, 0), True),
+            (lambda: pool.accept(alu, 0, 3, 0), True),
+            (lambda: pool.accept(alu, 0, 2, 1), True),
+            (lambda: pool.can_accept(alu, 1, 0), False),
+            (lambda: pool.can_accept(alu, 3, 0), True),
+            (lambda: pool.try_cache_port(0), True),
+            (lambda: pool.try_cache_port(0), True),   # cluster 0 busy
+            (lambda: pool.try_cache_port(1), True),
+            (lambda: pool.next_event_cycle(0), 1),
+            (lambda: pool.accept(mul, 2, 5, 0), True),
+            (lambda: pool.accept(mul, 2, 5, 0), False),
+            (lambda: pool.next_event_cycle(2), 3),
+            (lambda: pool.try_cache_port(2), True),
+            (lambda: pool.next_event_cycle(4), 7),
+            (lambda: pool.can_accept(mul, 6, 0), False),
+            (lambda: pool.accept(port, 6, 1, 1), True),
+            (lambda: pool.try_cache_port(6), True),
+            (lambda: pool.next_event_cycle(6), 7),
+        ]
+        for index, (op, expected) in enumerate(ops):
+            assert op() == expected, index
+        assert stats.get("fu.int_alu.ops") == 3
+        assert stats.get("fu.int_mul.ops") == 1
+        assert stats.get("fu.mem_port.ops") == 6
+        assert stats.get("fu.structural_stalls") == 2
 
 
 class TestClusteredExecution:

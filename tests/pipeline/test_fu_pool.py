@@ -78,7 +78,7 @@ class TestMemoryOps:
         assert FUPool.issue_class(inst_of(Opcode.LD, srcs=(2,))) is FUClass.INT_ALU
         assert FUPool.issue_class(inst_of(Opcode.FST, dest=None,
                                           srcs=(2, 33))) is FUClass.INT_ALU
-        assert FUPool.issue_class(inst_of(Opcode.FADD)) is FUClass.FP_MUL or True
+        assert FUPool.issue_class(inst_of(Opcode.FADD)) is FUClass.FP_ADD
         assert FUPool.issue_class(inst_of(Opcode.FMUL)) is FUClass.FP_MUL
 
 
@@ -100,3 +100,13 @@ class TestControlOps:
         pool.try_issue(inst_of(Opcode.ADD), now=0)
         pool.try_issue(inst_of(Opcode.ADD), now=0)
         assert stats.get("fu.structural_stalls") == 1
+
+    def test_next_event_cycle_tracks_earliest_busy_unit(self):
+        pool = make_pool(int_alu=1, int_mul=1)
+        assert pool.next_event_cycle(0) == 1 << 60      # all units free
+        assert pool.try_issue(inst_of(Opcode.ADD), now=0)
+        assert pool.try_issue(inst_of(Opcode.DIV), now=0)
+        div_latency = inst_of(Opcode.DIV).static.info.latency
+        assert pool.next_event_cycle(0) == 1
+        assert pool.next_event_cycle(1) == div_latency
+        assert pool.next_event_cycle(div_latency) == 1 << 60
